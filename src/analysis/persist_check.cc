@@ -130,7 +130,7 @@ struct AuditPoint {
     /** Stores: the callee flushes what it writes through this arg.
         Flushes: the callee also fences on exit. */
     bool coveredByCallee = false;
-    std::string callee;
+    std::string callee{};
 };
 
 Violation
@@ -172,11 +172,15 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
             const Instr& in = instrs[i];
             InstrRef at{b, i};
             switch (in.op) {
-              case Op::store: stores.push_back({at, in.ptr}); break;
-              case Op::flush: flushes.push_back({at, in.ptr}); break;
-              case Op::fence: fences.push_back({at}); break;
+              case Op::store:
+                stores.push_back({.at = at, .ptr = in.ptr});
+                break;
+              case Op::flush:
+                flushes.push_back({.at = at, .ptr = in.ptr});
+                break;
+              case Op::fence: fences.push_back({.at = at}); break;
               case Op::clobberlog:
-                clogs.push_back({at, in.ptr});
+                clogs.push_back({.at = at, .ptr = in.ptr});
                 break;
               case Op::call: {
                 if (!sums)
@@ -361,7 +365,7 @@ checkPersistency(const Function& f, const cir::ModuleSummaries* sums)
         if (!loggedAt(in.ptr, site)) {
             out.violations.push_back(makeViolation(
                 CheckKind::unloggedClobber, Severity::error,
-                AuditPoint{site, in.ptr},
+                AuditPoint{.at = site, .ptr = in.ptr},
                 "refined clobber site has no dominating "
                 "clobber_log"));
         }

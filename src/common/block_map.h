@@ -3,17 +3,14 @@
  * Open-addressing hash map from uint64 block number to a small
  * per-block state bitmask, with O(1) clear.
  *
- * The runtimes used to keep up to four separate EpochSets per
- * transaction slot (read set, write set, logged-block set, and the iDO
- * per-region sets), so one interposed store paid up to four independent
- * hash probes per 8-byte block. BlockMap folds all of that into one
- * epoch-tagged table: a single probe returns a mutable state byte
- * holding every per-block fact a protocol needs for its
- * clobber/suppress/log decision.
+ * One table holds every per-block fact a protocol needs for its
+ * clobber/suppress/log decision (read set, write set, logged blocks,
+ * and the iDO per-region sets), so one interposed store pays a single
+ * hash probe per 8-byte block that returns a mutable state byte.
  *
- * Like EpochSet, clearing bumps an epoch tag instead of touching every
- * bucket; a bucket is live iff its epoch matches, so key 0 is a valid
- * block number here (EpochSet reserved it for "empty").
+ * Clearing bumps an epoch tag instead of touching every bucket; a
+ * bucket is live iff its epoch matches, so key 0 is a valid block
+ * number.
  */
 #ifndef CNVM_COMMON_BLOCK_MAP_H
 #define CNVM_COMMON_BLOCK_MAP_H

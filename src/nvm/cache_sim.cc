@@ -64,19 +64,39 @@ CacheSim::growShard(Shard& sh)
     size_t cap = sh.slots.empty() ? 64 : sh.slots.size() * 2;
     std::vector<Slot> old = std::move(sh.slots);
     sh.slots.assign(cap, Slot{});
-    sh.used = 0;
     size_t mask = cap - 1;
     for (const Slot& s : old) {
-        // Clean (durable) slots behave like absent entries; dropping
-        // them at rehash keeps long-lived sims from growing forever.
-        if (s.key == 0 || s.state == kClean)
+        if (s.key == 0)
             continue;
         size_t i = mixLine(s.key - 1) & mask;
         while (sh.slots[i].key != 0)
             i = (i + 1) & mask;
         sh.slots[i] = s;
-        sh.used++;
     }
+}
+
+void
+CacheSim::eraseSlot(Shard& sh, Slot* s)
+{
+    // Backward-shift deletion: pull each later member of the probe
+    // chain into the hole unless its home lies cyclically in
+    // (hole, member], where moving it would put it before its home.
+    size_t mask = sh.slots.size() - 1;
+    size_t hole = static_cast<size_t>(s - sh.slots.data());
+    size_t j = hole;
+    while (true) {
+        j = (j + 1) & mask;
+        Slot& next = sh.slots[j];
+        if (next.key == 0)
+            break;
+        size_t home = mixLine(next.key - 1) & mask;
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            sh.slots[hole] = next;
+            hole = j;
+        }
+    }
+    sh.slots[hole].key = 0;
+    sh.used--;
 }
 
 void
@@ -98,19 +118,10 @@ CacheSim::dirtyLocked(Shard& sh, uint64_t ln)
             return;
         }
         if (s.key == ln + 1) {
-            if (s.state == kPending) {
-                // A new store re-dirties a clwb'd line; clwb without a
-                // fence gives no durability, so the original snapshot
-                // stays the revert target.
-                s.state = kDirty;
-            } else if (s.state == kClean) {
-                // Durable line re-dirtied: current content is the new
-                // durable floor.
-                s.state = kDirty;
-                std::memcpy(s.snapshot.data(), base_ + ln * kCacheLine,
-                            kCacheLine);
-                volatile_.fetch_add(1, std::memory_order_relaxed);
-            }
+            // A new store re-dirties a clwb'd line; clwb without a
+            // fence gives no durability, so the original snapshot
+            // stays the revert target.
+            s.state = kDirty;
             return;
         }
         i = (i + 1) & mask;
@@ -229,10 +240,10 @@ CacheSim::fence()
         std::lock_guard<std::mutex> g(sh.mu);
         for (uint64_t ln : sh.pending) {
             Slot* s = findSlot(sh, ln);
-            // A re-dirtied (kDirty) or doubly-listed (kClean) entry is
+            // A re-dirtied or doubly-listed (already erased) entry is
             // skipped; only a real pending line retires.
             if (s != nullptr && s->state == kPending) {
-                s->state = kClean;
+                eraseSlot(sh, s);
                 volatile_.fetch_sub(1, std::memory_order_relaxed);
             }
         }
@@ -251,10 +262,8 @@ CacheSim::crashImpl(Xorshift* rng, const CrashParams& p)
     for (Shard& sh : shards_) {
         std::lock_guard<std::mutex> g(sh.mu);
         for (Slot& s : sh.slots) {
-            if (s.key == 0 ||
-                (s.state != kDirty && s.state != kPending)) {
+            if (s.key == 0)
                 continue;
-            }
             uint64_t ln = s.key - 1;
             uint8_t* mem = base_ + ln * kCacheLine;
             double survival = s.state == kPending ? p.pendingSurvival
@@ -302,7 +311,18 @@ CacheSim::isVolatile(uint64_t line)
     Shard& sh = shardOf(line);
     std::lock_guard<std::mutex> g(sh.mu);
     Slot* s = findSlot(sh, line);
-    return s != nullptr && (s->state == kDirty || s->state == kPending);
+    return s != nullptr;
+}
+
+size_t
+CacheSim::maxShardSlots()
+{
+    size_t cap = 0;
+    for (Shard& sh : shards_) {
+        std::lock_guard<std::mutex> g(sh.mu);
+        cap = std::max(cap, sh.slots.size());
+    }
+    return cap;
 }
 
 void

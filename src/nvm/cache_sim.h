@@ -14,7 +14,7 @@
  *    it is dirtied;
  *  - flush()/flushLines() move lines to the "pending" state (clwb
  *    issued);
- *  - fence() makes pending lines durable (snapshots retired);
+ *  - fence() makes pending lines durable and forgets them;
  *  - crash() tears the image: every still-volatile 8-byte word either
  *    keeps its new value (it was evicted in time) or reverts to the
  *    snapshot (it was lost), chosen pseudo-randomly.
@@ -28,8 +28,10 @@
  *  - The line table is sharded: power-of-two shards keyed by line bits
  *    (16-line blocks round-robined over the shards), each an
  *    open-addressing flat table of line -> {state, snapshot} slots
- *    under its own mutex. Slots are never deleted, only retired to the
- *    "clean" state at fence time, so probe chains need no tombstones.
+ *    under its own mutex. The table holds only the volatile set: a
+ *    fence erases each retiring slot by backward-shift deletion (no
+ *    tombstones), so a shard's table is sized by its peak dirty +
+ *    pending lines between fences, not by every line ever written.
  *  - Repeated stores to an already-dirty line skip the shard lock
  *    entirely: willWrite() first probes the calling thread's
  *    DirtyLineCache (see hooks.h). Entries are tagged with the sim's
@@ -152,6 +154,11 @@ class CacheSim {
         return volatile_.load(std::memory_order_relaxed);
     }
 
+    /** Slot capacity of the largest shard table (read-only inspector
+     *  for the bound that tables track the volatile set, not history).
+     *  Takes every shard lock in turn. */
+    size_t maxShardSlots();
+
     /** Is `line` currently dirty or pending? Probes one shard under
      *  its lock (fault injection skips volatile lines). */
     bool isVolatile(uint64_t line);
@@ -167,28 +174,28 @@ class CacheSim {
     void setLineObserver(LineObserver* obs);
 
  private:
+    /** A durable line has no slot: fence() erases it. */
     enum LineState : uint8_t {
-        kEmpty = 0,    ///< slot never used
         kDirty,        ///< stored to since last durable point
         kPending,      ///< clwb issued, fence outstanding
-        kClean,        ///< durable; behaves like absent (slot reusable)
     };
 
     struct Slot {
         /** Line number + 1; 0 = empty. First member so probe chains
          *  touch only the slot header, not the snapshot bytes. */
         uint64_t key = 0;
-        LineState state = kEmpty;
+        LineState state = kDirty;
         std::array<uint8_t, kCacheLine> snapshot;
     };
 
     struct Shard {
         std::mutex mu;
-        /** Power-of-two open-addressing table; grows, never shrinks. */
+        /** Power-of-two open-addressing table of the shard's volatile
+         *  lines; grows at 70% load, never shrinks. */
         std::vector<Slot> slots;
         /** Lines with a clwb issued since the last fence. */
         std::vector<uint64_t> pending;
-        /** Slots with key != 0 (load-factor accounting). */
+        /** Slots with key != 0: the shard's volatile lines. */
         size_t used = 0;
     };
 
@@ -214,9 +221,11 @@ class CacheSim {
                        DirtyLineCache& c);
     /** Mark `ln` dirty in `sh` (lock held), snapshotting as needed. */
     void dirtyLocked(Shard& sh, uint64_t ln);
-    /** Probe for `ln`; nullptr if absent (kClean slots ARE returned). */
+    /** Probe for `ln`; nullptr if the line is not volatile. */
     Slot* findSlot(Shard& sh, uint64_t ln);
     void growShard(Shard& sh);
+    /** Remove `s` from `sh` (lock held), closing the probe chain. */
+    void eraseSlot(Shard& sh, Slot* s);
     /** Invalidate every thread's DirtyLineCache for this sim. */
     void bumpEpoch();
 

@@ -78,12 +78,20 @@ RuntimeBase::writeDirty(unsigned tid, void* dst, const void* src,
     uint64_t first = off / nvm::kCacheLine;
     uint64_t last = (off + n - 1) / nvm::kCacheLine;
     // Same-line memo: repeated stores to the current cache line (field
-    // updates, sequential small writes) skip the hash insert.
+    // updates, sequential small writes) skip the append.
     if (first == s.lastDirtyLine && last == s.lastDirtyLine)
         return;
     for (uint64_t ln = first; ln <= last; ln++)
-        s.dirtyLines.insert(ln + 1);  // +1: EpochSet forbids key 0
+        s.dirtyLines.push_back(ln);
     s.lastDirtyLine = last;
+    if (s.dirtyLines.size() > std::max<size_t>(2 * s.dirtyCompacted,
+                                               1024)) {
+        std::sort(s.dirtyLines.begin(), s.dirtyLines.end());
+        s.dirtyLines.erase(
+            std::unique(s.dirtyLines.begin(), s.dirtyLines.end()),
+            s.dirtyLines.end());
+        s.dirtyCompacted = s.dirtyLines.size();
+    }
 }
 
 void
@@ -91,14 +99,9 @@ RuntimeBase::flushDirty(unsigned tid)
 {
     SlotState& s = slot(tid);
     s.lastDirtyLine = ~0ULL;
-    if (s.dirtyLines.size() == 0)
-        return;  // read-only / already-flushed: skip the copy-out
-    s.flushScratch.clear();
-    s.dirtyLines.forEach([&](uint64_t lnPlus1) {
-        s.flushScratch.push_back(lnPlus1 - 1);
-    });
-    pool_.flushLines(s.flushScratch.data(), s.flushScratch.size());
+    pool_.flushLines(s.dirtyLines.data(), s.dirtyLines.size());
     s.dirtyLines.clear();
+    s.dirtyCompacted = 0;
 }
 
 void

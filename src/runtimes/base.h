@@ -15,7 +15,6 @@
 
 #include "alloc/pm_allocator.h"
 #include "common/block_map.h"
-#include "common/epoch_set.h"
 #include "nvm/pool.h"
 #include "runtimes/descriptor.h"
 #include "runtimes/log_writer.h"
@@ -86,8 +85,15 @@ class RuntimeBase : public txn::Runtime {
         txn::FuncId pendingFid = 0;
         bool wantArgsPersist = false;
         std::vector<uint8_t> volatileArgs;
-        /** dirty cache lines to write back at commit */
-        EpochSet dirtyLines{4096};
+        /**
+         * Cache lines to write back at commit, in store order and
+         * possibly repeated (flushLines sorts and dedupes). Compacted
+         * in place once it passes both 1024 entries and twice
+         * dirtyCompacted, so a long transaction revisiting lines
+         * stays bounded.
+         */
+        std::vector<uint64_t> dirtyLines;
+        size_t dirtyCompacted = 0;
         /**
          * Unified per-block transaction state (READ / WRITTEN / LOGGED
          * / REGION_READ / REGION_WRITTEN), one probe per block where
@@ -109,12 +115,10 @@ class RuntimeBase : public txn::Runtime {
          */
         uint64_t loadRunLo = 1, loadRunHi = 0;
         uint64_t storeRunLo = 1, storeRunHi = 0;
-        /** last cache line inserted into dirtyLines (same-line memo) */
+        /** last cache line appended to dirtyLines (same-line memo) */
         uint64_t lastDirtyLine = ~0ULL;
         /** allocation actions (payloadOff, isFree) */
         std::vector<std::pair<uint64_t, bool>> actions;
-        /** reusable buffer for batched commit-time write-back */
-        std::vector<uint64_t> flushScratch;
         /** reusable buffer for scanLog (recovery passes) */
         std::vector<ScannedEntry> scanScratch;
         /** bytes used in the slot's log area */
@@ -169,6 +173,7 @@ class RuntimeBase : public txn::Runtime {
             pendingFid = 0;
             wantArgsPersist = false;
             dirtyLines.clear();
+            dirtyCompacted = 0;
             blocks.clear();
             resetRuns();
             lastDirtyLine = ~0ULL;

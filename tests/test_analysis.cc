@@ -186,8 +186,9 @@ TEST(ReexecCheck, NondeterminismSeenThroughPureDeclaredCall)
     auto rep = analysis::checkReexecSafety(tx, sums);
     ASSERT_EQ(rep.count(CheckKind::nondetInTx), 1);
     for (const auto& v : rep.violations)
-        if (v.kind == CheckKind::nondetInTx)
+        if (v.kind == CheckKind::nondetInTx) {
             EXPECT_EQ(v.callee, "get_stamp");
+        }
     // The helper itself is also unsafe to replay.
     auto hrep =
         analysis::checkReexecSafety(findFn(mod, "get_stamp"), sums);

@@ -50,8 +50,9 @@ TEST_P(KvServerTest, MemslapStyleChurnMatchesModel)
             bool found = server.get(key, &r);
             auto it = model.find(key);
             ASSERT_EQ(found, it != model.end());
-            if (found)
+            if (found) {
                 ASSERT_EQ(r.str(), it->second);
+            }
         }
     }
     EXPECT_EQ(server.itemCount(), model.size());
@@ -197,8 +198,9 @@ TEST(KvServerCrash, InterruptedSetsRecover)
     }
     for (int i = 0; i < 60; i++) {
         ds::LookupResult r;
-        if (server.get("crash" + std::to_string(i), &r))
+        if (server.get("crash" + std::to_string(i), &r)) {
             ASSERT_EQ(r.str(), "payload-" + std::to_string(i));
+        }
     }
 }
 
@@ -247,8 +249,9 @@ TEST_P(VacationTest, CrashSweepPreservesAccounting)
             h.runtime->recover();
         }
         h.pool->armWriteTrap(0);
-        if (seed % 50 == 0)
+        if (seed % 50 == 0) {
             ASSERT_TRUE(vac.validate()) << "after task " << seed;
+        }
     }
     EXPECT_GT(crashes, 10);
     EXPECT_TRUE(vac.validate());

@@ -281,10 +281,11 @@ TEST(ClobberPass, EveryModuleRefinesOrHolds)
                       res.conservativePairs.size());
             // Refinement never removes all real clobbers when any
             // read-modify-write exists.
-            if (!res.conservativePairs.empty())
+            if (!res.conservativePairs.empty()) {
                 EXPECT_FALSE(res.refinedPairs.empty() &&
                              res.removedUnexposed == 0 &&
                              res.removedShadowed == 0);
+            }
         }
     }
 }

@@ -1,9 +1,11 @@
 /** @file Unit tests for the pool, cache model, and persistent pointers. */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -164,6 +166,124 @@ TEST(CacheSim, CountsFlushesAndFences)
     EXPECT_EQ(delta[stats::Counter::fences], 1u);
     EXPECT_EQ(delta[stats::Counter::nvmWrites], 1u);
     EXPECT_EQ(delta[stats::Counter::nvmWriteBytes], 8u);
+}
+
+/**
+ * Model check of the line table against a std::map reference: seeded
+ * random stores (fresh and re-dirty-after-flush), flush, flushLines,
+ * fence and crashAllLost. Every line sits in one shard (stride of 64
+ * shards x 16-line blocks) and enough are live at once to wrap its
+ * probe table and grow it, so fence-time erases hit wrapped chains
+ * and chain middles.
+ */
+TEST(CacheSim, ModelCheckAgainstReferenceMap)
+{
+    auto p = makePool(32 << 20);
+    CacheSim& c = p->cache();
+    ASSERT_EQ(c.volatileLines(), 0u);
+    constexpr uint64_t kStride = 64 * 16;  // same shard every time
+    constexpr size_t kLines = 96;
+    uint64_t firstLine = (p->heapOff() / kCacheLine + kStride - 1) /
+                         kStride * kStride;
+    ASSERT_LE((firstLine + kLines * kStride) * kCacheLine, p->size());
+    auto lineAt = [&](size_t i) { return firstLine + i * kStride; };
+
+    struct Ref {
+        bool pending = false;
+        std::array<uint8_t, kCacheLine> snapshot;
+    };
+    std::map<uint64_t, Ref> model;
+    auto flushRef = [&](uint64_t ln) {
+        auto it = model.find(ln);
+        if (it != model.end())
+            it->second.pending = true;
+    };
+
+    Xorshift rng(20210419);
+    std::vector<uint64_t> batch;
+    for (int step = 0; step < 20000; step++) {
+        uint64_t ln = lineAt(rng.next() % kLines);
+        uint64_t r = rng.next() % 100;
+        if (r < 50) {
+            auto [it, fresh] = model.try_emplace(ln);
+            if (fresh) {
+                std::memcpy(it->second.snapshot.data(),
+                            p->at(ln * kCacheLine), kCacheLine);
+            }
+            it->second.pending = false;
+            uint64_t v = rng.next();
+            p->writeAt(ln * kCacheLine + (rng.next() % 8) * 8, &v,
+                       sizeof(v));
+        } else if (r < 65) {
+            c.flush(ln * kCacheLine, kCacheLine);
+            flushRef(ln);
+        } else if (r < 80) {
+            batch.clear();
+            for (size_t k = rng.next() % 12; k-- > 0;)
+                batch.push_back(lineAt(rng.next() % kLines));
+            for (uint64_t b : batch)
+                flushRef(b);
+            c.flushLines(batch.data(), batch.size());
+        } else if (r < 99) {
+            c.fence();
+            std::erase_if(model,
+                          [](const auto& kv) { return kv.second.pending; });
+        } else {
+            std::vector<uint8_t> expect(kLines * kCacheLine);
+            for (size_t i = 0; i < kLines; i++) {
+                auto it = model.find(lineAt(i));
+                std::memcpy(expect.data() + i * kCacheLine,
+                            it != model.end()
+                                ? it->second.snapshot.data()
+                                : p->at(lineAt(i) * kCacheLine),
+                            kCacheLine);
+            }
+            c.crashAllLost();
+            model.clear();
+            for (size_t i = 0; i < kLines; i++) {
+                ASSERT_EQ(std::memcmp(p->at(lineAt(i) * kCacheLine),
+                                      expect.data() + i * kCacheLine,
+                                      kCacheLine),
+                          0)
+                    << "crash image differs at line " << i << ", step "
+                    << step;
+            }
+        }
+        ASSERT_EQ(c.volatileLines(), model.size()) << "step " << step;
+        for (size_t i = 0; i < kLines; i++) {
+            ASSERT_EQ(c.isVolatile(lineAt(i)), model.count(lineAt(i)) == 1)
+                << "line " << i << ", step " << step;
+        }
+    }
+    // The live set outgrew the first table, so erases ran in both a
+    // crowded table and a grown one.
+    EXPECT_GT(c.maxShardSlots(), 64u);
+}
+
+/** The line table tracks the volatile set: writing, flushing and
+ *  fencing many distinct lines leaves every shard at its first size. */
+TEST(CacheSim, TableSizeTracksVolatileSetNotHistory)
+{
+    auto p = makePool(16 << 20);
+    CacheSim& c = p->cache();
+    constexpr size_t kTotal = 200000;
+    constexpr size_t kBatch = 32;
+    uint64_t firstLine = p->heapOff() / kCacheLine + 1;
+    ASSERT_LE((firstLine + kTotal) * kCacheLine, p->size());
+    std::vector<uint64_t> lines;
+    for (size_t i = 0; i < kTotal; i += kBatch) {
+        lines.clear();
+        for (size_t k = 0; k < kBatch; k++) {
+            uint64_t ln = firstLine + i + k;
+            uint64_t v = ln;
+            p->writeAt(ln * kCacheLine, &v, sizeof(v));
+            lines.push_back(ln);
+        }
+        c.flushLines(lines.data(), lines.size());
+        c.fence();
+    }
+    EXPECT_EQ(c.volatileLines(), 0u);
+    EXPECT_LE(c.maxShardSlots(), 64u);
 }
 
 /**

@@ -353,6 +353,38 @@ TEST(RedoRuntime, CommitFencesAreConstantPerTx)
     EXPECT_LE(large, 4u);
 }
 
+TEST(CommitWriteBack, CompactedDirtyLinesAllPersist)
+{
+    // Each pass stores one word per line, so consecutive stores never
+    // share a line: the same-line memo never fires and the slot's
+    // dirty-line list compacts twice before commit.
+    static const txn::FuncId kStridedPasses = txn::registerTxFunc(
+        "test_strided_passes", [](txn::Tx& tx, txn::ArgReader& a) {
+            auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+            uint64_t lines = a.get<uint64_t>();
+            uint64_t off = tx.pmallocOff(lines * nvm::kCacheLine);
+            tx.st(root->counter, off);
+            auto* w = static_cast<uint64_t*>(tx.pool().at(off));
+            for (uint64_t pass = 0; pass < 8; pass++) {
+                for (uint64_t ln = 0; ln < lines; ln++)
+                    tx.st(w[ln * 8 + pass], ln * 8 + pass + 1);
+            }
+        });
+    constexpr uint64_t kLines = 256;
+    for (auto kind : {RuntimeKind::undo, RuntimeKind::redo,
+                      RuntimeKind::clobber, RuntimeKind::ido}) {
+        Harness h(kind);
+        auto eng = h.engine();
+        txn::run(eng, kStridedPasses, h.rootPtr().raw(), kLines);
+        h.pool->cache().crashAllLost();
+        h.runtime->recover();
+        const auto* w =
+            static_cast<const uint64_t*>(h.pool->at(h.root().counter));
+        for (uint64_t i = 0; i < kLines * 8; i++)
+            ASSERT_EQ(w[i], i + 1) << h.runtime->name() << " word " << i;
+    }
+}
+
 TEST(AtlasLogging, MarkerRecordsAreFlushedWithoutFences)
 {
     Harness h(RuntimeKind::atlas);

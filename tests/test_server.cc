@@ -212,8 +212,9 @@ TEST_P(KvMutationTest, ApplyBatchMatchesSingles)
         std::vector<apps::MutResult> results(ops.size());
         kv.applyBatch(ops, results.data());
         for (size_t i = 0; i < ops.size(); i++) {
-            if (ops[i].kind == apps::MutKind::set)
+            if (ops[i].kind == apps::MutKind::set) {
                 EXPECT_EQ(results[i], apps::MutResult::stored);
+            }
         }
     }
     EXPECT_EQ(kv.itemCount(), model.size());

@@ -85,8 +85,9 @@ TEST_P(KvStructures, InsertLookupRemoveAgainstModel)
             bool found = kv->lookup(k, &r);
             auto it = model.find(k);
             ASSERT_EQ(found, it != model.end()) << "op " << i;
-            if (found)
+            if (found) {
                 ASSERT_EQ(r.str(), it->second) << "op " << i;
+            }
         }
     }
     // Final full verification.
@@ -347,8 +348,9 @@ TEST(BpTreeInvariants, HoldAcrossSplits)
         // 32-byte keys as in the paper's B+Tree benchmark.
         std::string k = keyOf(i) + std::string(24, 'k');
         tree.insert(k, valOf(i));
-        if (i % 64 == 0)
+        if (i % 64 == 0) {
             ASSERT_EQ(tree.validate(), static_cast<long>(i + 1));
+        }
     }
     EXPECT_EQ(tree.validate(), 800);
     EXPECT_EQ(tree.size(), 800u);

@@ -56,8 +56,9 @@ TEST(Memslap, KeyAndValueSizesMatchPaper)
     for (int i = 0; i < 200; i++) {
         auto req = gen.next();
         EXPECT_EQ(req.key.size(), 16u);
-        if (req.op == KvOp::set)
+        if (req.op == KvOp::set) {
             EXPECT_EQ(req.value.size(), 64u);
+        }
     }
 }
 
