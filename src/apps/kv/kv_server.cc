@@ -33,118 +33,121 @@ keyEquals(txn::Tx& tx, nvm::PPtr<KvItem> it, std::string_view key)
     return std::memcmp(buf, key.data(), klen) == 0;
 }
 
+/**
+ * A fresh item with every payload byte written by one store: header,
+ * key and value. Nothing is read back and nothing is left for a
+ * zero-fill to cover, so the allocation skips pnew's zeroing.
+ */
 nvm::PPtr<KvItem>
 makeItem(txn::Tx& tx, std::string_view key, std::string_view val,
-         uint32_t flags, uint32_t version, nvm::PPtr<KvItem> next)
+         KvMeta meta, nvm::PPtr<KvItem> next)
 {
-    auto it = tx.pnew<KvItem>(key.size() + val.size());
-    tx.st(it->next, next);
-    tx.st(it->keyLen, static_cast<uint32_t>(key.size()));
-    tx.st(it->valLen, static_cast<uint32_t>(val.size()));
-    tx.st(it->flags, flags);
-    tx.st(it->version, version);
-    tx.stBytes(it->keyBytes(), key.data(), key.size());
-    tx.stBytes(it->valBytes(static_cast<uint32_t>(key.size())),
-               val.data(), val.size());
+    CNVM_CHECK(key.size() <= ds::kMaxKeyLen, "key too long");
+    CNVM_CHECK(val.size() <= ds::kMaxValLen, "value too long");
+    size_t valOff = sizeof(KvItem) + KvItem::keySpan(key.size());
+    size_t n = valOff + val.size();
+    alignas(KvItem) char buf[sizeof(KvItem) + ds::kMaxKeyLen +
+                             ds::kMaxValLen];
+    KvItem hdr{next, static_cast<uint32_t>(key.size()),
+               static_cast<uint32_t>(val.size()), meta};
+    std::memcpy(buf, &hdr, sizeof(hdr));
+    std::memcpy(buf + sizeof(hdr), key.data(), key.size());
+    std::memset(buf + sizeof(hdr) + key.size(), 0,
+                valOff - sizeof(hdr) - key.size());
+    std::memcpy(buf + valOff, val.data(), val.size());
+    auto it = nvm::PPtr<KvItem>(tx.pmallocOff(n));
+    tx.stBytes(it.get(), buf, n);
     return it;
 }
 
+/** Where a key's chain walk ended. */
+struct Found {
+    nvm::PPtr<KvItem>* head;  ///< the key's bucket
+    nvm::PPtr<KvItem>* link;  ///< the pointer to `it` (head or ->next)
+    nvm::PPtr<KvItem> it;     ///< the item; null on a miss
+};
+
+Found
+findItem(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key)
+{
+    auto* head = &root->buckets()[bucketIndex(tx, root, key)];
+    auto* link = head;
+    auto it = tx.ld(*link);
+    while (!it.isNull() && !keyEquals(tx, it, key)) {
+        link = &it->next;
+        it = tx.ld(*link);
+    }
+    return {head, link, it};
+}
+
 /**
- * Replace (or insert) the item under `key`. Shared by the set txfunc,
- * the cas txfunc (which passes the expected version through) and the
- * batch txfunc, so single-op and group-commit paths execute identical
- * structure code.
+ * Give the found item a new value and metadata: in place when the
+ * value length is unchanged, else through a fresh item spliced in at
+ * the link. The in-place path stores only blocks this transaction
+ * never loads (value bytes, KvMeta) — a blind write, which recovery
+ * redoes by re-execution instead of restoring from a log.
+ */
+void
+writeItem(txn::Tx& tx, const Found& f, std::string_view key,
+          std::string_view val, KvMeta meta)
+{
+    if (tx.ld(f.it->valLen) == val.size()) {
+        tx.stBytes(f.it->valBytes(static_cast<uint32_t>(key.size())),
+                   val.data(), val.size());
+        tx.st(f.it->meta, meta);
+    } else {
+        tx.st(*f.link, makeItem(tx, key, val, meta, tx.ld(f.it->next)));
+        tx.pfree(f.it);
+    }
+}
+
+/**
+ * Replace (or insert) the item under `key`. Shared by the set txfunc
+ * and the batch txfunc, so single-op and group-commit paths execute
+ * identical structure code. The CAS id in `meta` comes from the
+ * caller (v_log), never from the item: a set reads no metadata.
  */
 void
 doSet(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key,
-      std::string_view val, uint32_t flags)
+      std::string_view val, KvMeta meta)
 {
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    auto prev = nvm::PPtr<KvItem>();
-    for (auto it = tx.ld(head); !it.isNull();
-         prev = it, it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        uint32_t version = tx.ld(it->version) + 1;
-        if (tx.ld(it->valLen) == val.size()) {
-            // In-place update: value bytes + metadata.
-            tx.stBytes(it->valBytes(static_cast<uint32_t>(key.size())),
-                       val.data(), val.size());
-            tx.st(it->flags, flags);
-            tx.st(it->version, version);
-        } else {
-            auto fresh = makeItem(tx, key, val, flags, version,
-                                  tx.ld(it->next));
-            if (prev.isNull())
-                tx.st(head, fresh);
-            else
-                tx.st(prev->next, fresh);
-            tx.pfree(it);
-        }
-        return;
-    }
-    auto fresh = makeItem(tx, key, val, flags, 1, tx.ld(head));
-    tx.st(head, fresh);
+    Found f = findItem(tx, root, key);
+    if (f.it.isNull())
+        tx.st(*f.head, makeItem(tx, key, val, meta, tx.ld(*f.head)));
+    else
+        writeItem(tx, f, key, val, meta);
 }
 
 MutResult
 doDel(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key)
 {
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    auto prev = nvm::PPtr<KvItem>();
-    for (auto it = tx.ld(head); !it.isNull();
-         prev = it, it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        auto next = tx.ld(it->next);
-        if (prev.isNull())
-            tx.st(head, next);
-        else
-            tx.st(prev->next, next);
-        tx.pfree(it);
-        return MutResult::deleted;
-    }
-    return MutResult::notFound;
+    Found f = findItem(tx, root, key);
+    if (f.it.isNull())
+        return MutResult::notFound;
+    tx.st(*f.link, tx.ld(f.it->next));
+    tx.pfree(f.it);
+    return MutResult::deleted;
 }
 
 /**
- * Compare-and-store: the version check happens inside the
- * transaction, so the paper's CAS semantics hold under both normal
- * execution and recovery re-execution (the re-run sees the same
- * pre-transaction version the original run saw, because the original
- * run's effects were rolled back / never made durable).
+ * Compare-and-store: the id check happens inside the transaction, so
+ * the paper's CAS semantics hold under both normal execution and
+ * recovery re-execution (the re-run sees the same pre-transaction id
+ * the original run saw, because the original run's effects were
+ * rolled back / never made durable). Loading the id makes the
+ * metadata store a clobber write: cas stays logged.
  */
 MutResult
 doCas(txn::Tx& tx, nvm::PPtr<PKvStore> root, std::string_view key,
-      std::string_view val, uint32_t flags, uint32_t expectedVersion)
+      std::string_view val, KvMeta meta, uint64_t expectedVersion)
 {
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    auto prev = nvm::PPtr<KvItem>();
-    for (auto it = tx.ld(head); !it.isNull();
-         prev = it, it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        uint32_t version = tx.ld(it->version);
-        if (version != expectedVersion)
-            return MutResult::exists;
-        uint32_t fresh = version + 1;
-        if (tx.ld(it->valLen) == val.size()) {
-            tx.stBytes(it->valBytes(static_cast<uint32_t>(key.size())),
-                       val.data(), val.size());
-            tx.st(it->flags, flags);
-            tx.st(it->version, fresh);
-        } else {
-            auto repl = makeItem(tx, key, val, flags, fresh,
-                                 tx.ld(it->next));
-            if (prev.isNull())
-                tx.st(head, repl);
-            else
-                tx.st(prev->next, repl);
-            tx.pfree(it);
-        }
-        return MutResult::stored;
-    }
-    return MutResult::notFound;
+    Found f = findItem(tx, root, key);
+    if (f.it.isNull())
+        return MutResult::notFound;
+    if (tx.ld(f.it->meta.version) != expectedVersion)
+        return MutResult::exists;
+    writeItem(tx, f, key, val, meta);
+    return MutResult::stored;
 }
 
 void
@@ -154,7 +157,8 @@ kvSetFn(txn::Tx& tx, txn::ArgReader& a)
     auto key = a.getString();
     auto val = a.getString();
     auto flags = a.get<uint32_t>();
-    doSet(tx, root, key, val, flags);
+    auto id = a.get<uint64_t>();
+    doSet(tx, root, key, val, KvMeta{flags, 0, id});
 }
 
 void
@@ -168,21 +172,18 @@ kvGetFn(txn::Tx& tx, txn::ArgReader& a)
     // anyway: it documents the volatile-out-pointer contract.
     if (tx.recovering())
         return;
-    out->found = false;
-    auto& head = root->buckets()[bucketIndex(tx, root, key)];
-    for (auto it = tx.ld(head); !it.isNull(); it = tx.ld(it->next)) {
-        if (!keyEquals(tx, it, key))
-            continue;
-        out->found = true;
-        out->len = tx.ld(it->valLen);
-        out->flags = tx.ld(it->flags);
-        out->version = tx.ld(it->version);
-        CNVM_CHECK(out->len <= ds::kMaxValLen, "value too long");
-        tx.ldBytes(out->value,
-                   it->valBytes(static_cast<uint32_t>(key.size())),
-                   out->len);
+    Found f = findItem(tx, root, key);
+    out->found = !f.it.isNull();
+    if (!out->found)
         return;
-    }
+    out->len = tx.ld(f.it->valLen);
+    KvMeta meta = tx.ld(f.it->meta);
+    out->flags = meta.flags;
+    out->version = meta.version;
+    CNVM_CHECK(out->len <= ds::kMaxValLen, "value too long");
+    tx.ldBytes(out->value,
+               f.it->valBytes(static_cast<uint32_t>(key.size())),
+               out->len);
 }
 
 void
@@ -205,18 +206,35 @@ kvCasFn(txn::Tx& tx, txn::ArgReader& a)
     auto key = a.getString();
     auto val = a.getString();
     auto flags = a.get<uint32_t>();
-    auto expected = a.get<uint32_t>();
+    auto expected = a.get<uint64_t>();
+    auto id = a.get<uint64_t>();
     auto* out = reinterpret_cast<MutResult*>(a.get<uint64_t>());
-    MutResult r = doCas(tx, root, key, val, flags, expected);
+    MutResult r = doCas(tx, root, key, val, KvMeta{flags, 0, id},
+                        expected);
     if (out != nullptr && !tx.recovering())
         *out = r;
 }
 
+/** Batch blob op tag: MutKind in the low bits, then presence bits. */
+constexpr uint8_t kTagKind = 0x3;
+constexpr uint8_t kTagFlags = 0x4;  ///< a u32 flags word follows
+constexpr uint8_t kTagCas = 0x8;    ///< a u64 expected CAS id follows
+
+std::string_view
+getChars(txn::ArgReader& r, size_t len)
+{
+    auto s = r.getRaw(len);
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
+}
+
 /**
  * Group commit body: the serialized batch rides in one length-prefixed
- * blob (count, then per op: kind, flags, casVersion, key, val), so the
- * whole batch is one v_log entry and recovery re-executes it as one
- * unit — all of the batch or none of it is ever durable.
+ * blob, so the whole batch is one v_log entry and recovery re-executes
+ * it as one unit — all of the batch or none of it is ever durable.
+ * Blob: u32 count, u64 base CAS id, then per op a u8 tag, a u8 key
+ * length and a u16 value length, the flags and expected id only when
+ * the tag says so (absent = 0), and the raw key and value bytes.
+ * Op i stores id base + i.
  */
 void
 kvBatchFn(txn::Tx& tx, txn::ArgReader& a)
@@ -226,23 +244,27 @@ kvBatchFn(txn::Tx& tx, txn::ArgReader& a)
     bool live = !tx.recovering();
     txn::ArgReader ops(a.getBytes());
     auto count = ops.get<uint32_t>();
+    auto baseId = ops.get<uint64_t>();
     for (uint32_t i = 0; i < count; i++) {
-        auto kind = static_cast<MutKind>(ops.get<uint8_t>());
-        auto flags = ops.get<uint32_t>();
-        auto casVersion = ops.get<uint32_t>();
-        auto key = ops.getString();
-        auto val = ops.getString();
+        auto tag = ops.get<uint8_t>();
+        auto klen = ops.get<uint8_t>();
+        auto vlen = ops.get<uint16_t>();
+        uint32_t flags = (tag & kTagFlags) ? ops.get<uint32_t>() : 0;
+        uint64_t expected = (tag & kTagCas) ? ops.get<uint64_t>() : 0;
+        auto key = getChars(ops, klen);
+        auto val = getChars(ops, vlen);
+        KvMeta meta{flags, 0, baseId + i};
         MutResult r = MutResult::error;
-        switch (kind) {
+        switch (static_cast<MutKind>(tag & kTagKind)) {
           case MutKind::set:
-            doSet(tx, root, key, val, flags);
+            doSet(tx, root, key, val, meta);
             r = MutResult::stored;
             break;
           case MutKind::del:
             r = doDel(tx, root, key);
             break;
           case MutKind::cas:
-            r = doCas(tx, root, key, val, flags, casVersion);
+            r = doCas(tx, root, key, val, meta, expected);
             break;
         }
         if (live && results != nullptr)
@@ -262,6 +284,7 @@ KvServer::KvServer(txn::Engine& eng, uint64_t rootOff,
                    const Config& cfg)
     : eng_(eng), lockMode_(cfg.lockMode)
 {
+    uint64_t epoch = 1;
     if (rootOff == 0) {
         size_t nBuckets = cfg.shards * cfg.bucketsPerShard;
         rootOff = ds::rawCreate(
@@ -270,14 +293,47 @@ KvServer::KvServer(txn::Engine& eng, uint64_t rootOff,
         root_ = nvm::PPtr<PKvStore>(rootOff);
         auto& pool = eng_.rt.pool();
         PKvStore init{};
+        init.magic = kKvLayoutMagic;
         init.nShards = cfg.shards;
         init.bucketsPerShard = cfg.bucketsPerShard;
+        init.epoch = epoch;
         pool.write(root_.get(), &init, sizeof(init));
         pool.persist(root_.get(), sizeof(init));
     } else {
         root_ = nvm::PPtr<PKvStore>(rootOff);
+        if (root_->magic != kKvLayoutMagic)
+            throw KvLayoutError(rootOff, root_->magic);
+        epoch = root_->epoch + 1;
+        writeEpoch(epoch);
     }
+    epoch_.store(epoch, std::memory_order_relaxed);
+    nextId_.store((epoch << 32) + 1, std::memory_order_relaxed);
     shards_ = std::vector<ShardState>(root_->nShards);
+}
+
+void
+KvServer::writeEpoch(uint64_t epoch)
+{
+    auto& pool = eng_.rt.pool();
+    pool.write(&root_->epoch, &epoch, sizeof(epoch));
+    pool.persist(&root_->epoch, sizeof(epoch));
+}
+
+uint64_t
+KvServer::drawIds(uint64_t n)
+{
+    uint64_t base = nextId_.fetch_add(n, std::memory_order_relaxed);
+    // 2^32 ids into an epoch the counter enters the next one, which
+    // must be on media before any of its ids is handed out.
+    uint64_t epoch = (base + n - 1) >> 32;
+    if (epoch > epoch_.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> g(epochMu_);
+        if (epoch > epoch_.load(std::memory_order_relaxed)) {
+            writeEpoch(epoch);
+            epoch_.store(epoch, std::memory_order_release);
+        }
+    }
+    return base;
 }
 
 size_t
@@ -367,7 +423,7 @@ KvServer::set(std::string_view key, std::string_view val,
     size_t shard = shardOf(key);
     shards_[shard].stats.sets.fetch_add(1, std::memory_order_relaxed);
     ShardGuard g(*this, shard, true);
-    txn::run(eng_, kKvSet, root_.raw(), key, val, flags);
+    txn::run(eng_, kKvSet, root_.raw(), key, val, flags, drawIds(1));
 }
 
 bool
@@ -400,14 +456,15 @@ KvServer::get(std::string_view key, ds::LookupResult* out)
 
 MutResult
 KvServer::cas(std::string_view key, std::string_view val,
-              uint32_t flags, uint32_t expectedVersion)
+              uint32_t flags, uint64_t expectedVersion)
 {
     size_t shard = shardOf(key);
     MutResult r = MutResult::error;
     {
         ShardGuard g(*this, shard, true);
         txn::run(eng_, kKvCas, root_.raw(), key, val, flags,
-                 expectedVersion, reinterpret_cast<uint64_t>(&r));
+                 expectedVersion, drawIds(1),
+                 reinterpret_cast<uint64_t>(&r));
     }
     auto& st = shards_[shard].stats;
     if (r == MutResult::stored)
@@ -449,14 +506,27 @@ KvServer::applyBatch(std::span<const MutOp> ops, MutResult* results)
     shardIdx.erase(std::unique(shardIdx.begin(), shardIdx.end()),
                    shardIdx.end());
 
+    // Blob format: see kvBatchFn.
     txn::ArgWriter blob;
     blob.put(static_cast<uint32_t>(ops.size()));
+    blob.put(drawIds(ops.size()));
     for (const auto& op : ops) {
-        blob.put(static_cast<uint8_t>(op.kind));
-        blob.put(op.flags);
-        blob.put(op.casVersion);
-        blob.putBytes(op.key.data(), op.key.size());
-        blob.putBytes(op.val.data(), op.val.size());
+        CNVM_CHECK(op.key.size() <= ds::kMaxKeyLen, "key too long");
+        CNVM_CHECK(op.val.size() <= ds::kMaxValLen, "value too long");
+        uint8_t tag = static_cast<uint8_t>(op.kind);
+        if (op.flags != 0)
+            tag |= kTagFlags;
+        if (op.casVersion != 0)
+            tag |= kTagCas;
+        blob.put(tag);
+        blob.put(static_cast<uint8_t>(op.key.size()));
+        blob.put(static_cast<uint16_t>(op.val.size()));
+        if (op.flags != 0)
+            blob.put(op.flags);
+        if (op.casVersion != 0)
+            blob.put(op.casVersion);
+        blob.putRaw(op.key.data(), op.key.size());
+        blob.putRaw(op.val.data(), op.val.size());
     }
 
     // The batch blob rides in the descriptor's v_log argument area

@@ -24,11 +24,13 @@
 #define CNVM_APPS_KV_SERVER_H
 
 #include <atomic>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/error.h"
 #include "nvm/pptr.h"
 #include "sim/lock.h"
 #include "structures/kv.h"
@@ -36,13 +38,37 @@
 
 namespace cnvm::apps {
 
-/** Persistent item: header + inline key and value bytes. */
+/**
+ * Item metadata that every set replaces: the memcached flags and the
+ * CAS id. One interposed store writes both, so a set never loads the
+ * blocks it overwrites (a blind write: Clobber-NVM logs nothing for
+ * it), and protocols that log every stored range (undo, redo) log
+ * this as one range.
+ */
+struct KvMeta {
+    uint32_t flags;
+    uint32_t pad;
+    uint64_t version;  ///< memcached "cas unique": opaque, server-issued
+};
+
+/**
+ * Persistent item: header + inline key and value bytes. The value
+ * starts at the next 8-byte boundary after the key, so no block holds
+ * both key bytes (loaded by every lookup) and value bytes (stored by
+ * an in-place set).
+ */
 struct KvItem {
     nvm::PPtr<KvItem> next;
     uint32_t keyLen;
     uint32_t valLen;
-    uint32_t flags;
-    uint32_t version;  ///< bumped on update (memcached CAS id)
+    KvMeta meta;
+
+    /** Key bytes plus padding, i.e. the value's offset from keyBytes. */
+    static constexpr size_t
+    keySpan(size_t klen)
+    {
+        return (klen + 7) & ~size_t{7};
+    }
 
     char*
     keyBytes()
@@ -52,13 +78,25 @@ struct KvItem {
     char*
     valBytes(uint32_t klen)
     {
-        return keyBytes() + klen;
+        return keyBytes() + keySpan(klen);
     }
 };
 
+static_assert(sizeof(KvItem) == 32);
+
+/** PKvStore::magic of this item/root layout ("CNVMKV02"). */
+constexpr uint64_t kKvLayoutMagic = 0x3230564b4d564e43ULL;
+
 struct PKvStore {
+    uint64_t magic;  ///< kKvLayoutMagic, checked on attach
     uint64_t nShards;
     uint64_t bucketsPerShard;
+    /**
+     * Bumped at every attach; CAS ids are (epoch << 32) + n with n
+     * counted in DRAM, so ids never repeat across opens (DESIGN.md
+     * §16.4).
+     */
+    uint64_t epoch;
 
     nvm::PPtr<KvItem>*
     buckets()
@@ -67,15 +105,36 @@ struct PKvStore {
     }
 };
 
+/** Attach to a root whose layout tag is not kKvLayoutMagic (another
+ *  layout, or not a KV root at all). */
+class KvLayoutError : public FatalError {
+ public:
+    KvLayoutError(uint64_t rootOff, uint64_t found)
+        : FatalError(strprintf(
+              "KV root at offset %llu has layout tag %#llx, expected "
+              "%#llx",
+              static_cast<unsigned long long>(rootOff),
+              static_cast<unsigned long long>(found),
+              static_cast<unsigned long long>(kKvLayoutMagic))),
+          found_(found)
+    {
+    }
+
+    uint64_t found() const { return found_; }
+
+ private:
+    uint64_t found_;
+};
+
 /**
  * Volatile out-parameter of get/gets: the value plus the memcached
- * item metadata (flags and the CAS id, i.e. KvItem::version).
+ * item metadata (flags and the CAS id, i.e. KvMeta::version).
  */
 struct KvReadResult {
     bool found = false;
     uint32_t len = 0;
     uint32_t flags = 0;
-    uint32_t version = 0;  ///< memcached "cas unique"
+    uint64_t version = 0;  ///< memcached "cas unique"
     char value[ds::kMaxValLen];
 
     std::string
@@ -103,7 +162,7 @@ struct MutOp {
     std::string_view key;
     std::string_view val;     ///< unused for del
     uint32_t flags = 0;
-    uint32_t casVersion = 0;  ///< cas only: expected KvItem::version
+    uint64_t casVersion = 0;  ///< cas only: expected KvMeta::version
 };
 
 class KvServer {
@@ -149,13 +208,19 @@ class KvServer {
                  casStores = 0, casMisses = 0;
     };
 
+    /**
+     * Format a new store (`rootOff` 0; shape from `cfg`) or attach to
+     * the one at `rootOff` (shape from the root), starting a new CAS
+     * id epoch.
+     * @throws KvLayoutError if the root's layout tag does not match.
+     */
     explicit KvServer(txn::Engine& eng, uint64_t rootOff,
                       const Config& cfg);
     explicit KvServer(txn::Engine& eng) : KvServer(eng, 0, Config{}) {}
 
     uint64_t rootOff() const { return root_.raw(); }
 
-    /** Store (insert or replace). */
+    /** Store (insert or replace) under a fresh CAS id. */
     void set(std::string_view key, std::string_view val,
              uint32_t flags = 0);
 
@@ -166,18 +231,19 @@ class KvServer {
     bool get(std::string_view key, KvReadResult* out);
 
     /**
-     * Compare-and-store: replace the item iff its version equals
-     * `expectedVersion` (memcached `cas`).
-     * @return stored, exists (version mismatch) or notFound.
+     * Compare-and-store: replace the item iff its CAS id equals
+     * `expectedVersion` (memcached `cas`); the item gets a fresh id.
+     * @return stored, exists (id mismatch) or notFound.
      */
     MutResult cas(std::string_view key, std::string_view val,
-                  uint32_t flags, uint32_t expectedVersion);
+                  uint32_t flags, uint64_t expectedVersion);
 
     /** @return true if the key existed. */
     bool del(std::string_view key);
 
     /**
      * Group commit: apply every mutation of `ops` in ONE transaction,
+     * op i storing CAS id base + i for one base drawn per batch,
      * paying one begin persist, one log seal and one commit fence for
      * the whole batch. Locks every involved shard (in index order, so
      * concurrent batches cannot deadlock) for the duration. Fills
@@ -209,10 +275,24 @@ class KvServer {
     /// @}
 
  private:
+    /**
+     * Reserve `n` consecutive CAS ids. The ids travel to the txfunc in
+     * its v_log arguments, so a re-execution stores the same ids.
+     * @return the first.
+     */
+    uint64_t drawIds(uint64_t n);
+    /** Write + persist (flush and fence) PKvStore::epoch, so it is
+     *  durable before any id of `epoch` is issued. */
+    void writeEpoch(uint64_t epoch);
+
     txn::Engine& eng_;
     nvm::PPtr<PKvStore> root_;
     LockMode lockMode_;
     std::vector<ShardState> shards_;
+    std::atomic<uint64_t> nextId_{0};
+    /** Highest epoch written to PKvStore::epoch. */
+    std::atomic<uint64_t> epoch_{0};
+    std::mutex epochMu_;
 };
 
 }  // namespace cnvm::apps

@@ -94,7 +94,7 @@ struct Request {
     std::string key;
     std::string value;        ///< set/cas payload
     uint32_t flags = 0;
-    uint32_t casVersion = 0;  ///< cas: expected item version
+    uint64_t casVersion = 0;  ///< cas: expected item CAS id
 
     /** get: caller-owned result buffer, filled before arrive(). */
     apps::KvReadResult* read = nullptr;

@@ -245,7 +245,7 @@ TcpServer::handleConnection(int fd)
                 r.key = c.keys[0];
                 r.value = std::move(c.data);
                 r.flags = c.flags;
-                r.casVersion = static_cast<uint32_t>(c.casUnique);
+                r.casVersion = c.casUnique;
                 r.done = &done;
                 break;
             }

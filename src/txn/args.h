@@ -45,6 +45,13 @@ class ArgWriter {
         append(data, len);
     }
 
+    /** Unframed bytes: the reader must know the length (getRaw). */
+    void
+    putRaw(const void* data, size_t len)
+    {
+        append(data, len);
+    }
+
     std::span<const uint8_t>
     bytes() const
     {
@@ -87,8 +94,15 @@ class ArgReader {
     std::span<const uint8_t>
     getBytes()
     {
-        auto len = get<uint32_t>();
-        CNVM_CHECK(p_ + len <= end_, "arg blob underflow");
+        return getRaw(get<uint32_t>());
+    }
+
+    /** `len` unframed bytes (putRaw), pointing into the blob. */
+    std::span<const uint8_t>
+    getRaw(size_t len)
+    {
+        CNVM_CHECK(len <= static_cast<size_t>(end_ - p_),
+                   "arg blob underflow");
         std::span<const uint8_t> out{p_, len};
         p_ += len;
         return out;

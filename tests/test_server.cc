@@ -11,15 +11,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstring>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "apps/kv/kv_server.h"
 #include "common/rand.h"
+#include "nvm/hooks.h"
 #include "server/kv_service.h"
 #include "server/loadgen.h"
 #include "server/protocol.h"
 #include "server/tcp_server.h"
+#include "stats/counters.h"
 #include "testutil.h"
 
 namespace cnvm::test {
@@ -159,20 +164,52 @@ TEST_P(KvMutationTest, CasFollowsVersioning)
     EXPECT_EQ(kv.cas("k", "v", 0, 1), apps::MutResult::notFound);
     kv.set("k", "v0", 3);
 
+    // CAS ids are opaque: read them back instead of predicting them.
     apps::KvReadResult r;
     ASSERT_TRUE(kv.get("k", &r));
     EXPECT_EQ(r.str(), "v0");
     EXPECT_EQ(r.flags, 3u);
-    EXPECT_EQ(r.version, 1u);
+    uint64_t id0 = r.version;
+    EXPECT_NE(id0, 0u);
 
-    EXPECT_EQ(kv.cas("k", "v1", 4, r.version),
-              apps::MutResult::stored);
-    EXPECT_EQ(kv.cas("k", "v2", 5, r.version),
-              apps::MutResult::exists);  // stale version
+    EXPECT_EQ(kv.cas("k", "v1", 4, id0), apps::MutResult::stored);
+    EXPECT_EQ(kv.cas("k", "v2", 5, id0),
+              apps::MutResult::exists);  // stale id
     ASSERT_TRUE(kv.get("k", &r));
     EXPECT_EQ(r.str(), "v1");
     EXPECT_EQ(r.flags, 4u);
-    EXPECT_EQ(r.version, 2u);
+    uint64_t id1 = r.version;
+    EXPECT_NE(id1, id0);
+
+    // A plain set issues a fresh id too, so the last one goes stale.
+    kv.set("k", "v3", 6);
+    ASSERT_TRUE(kv.get("k", &r));
+    EXPECT_NE(r.version, id0);
+    EXPECT_NE(r.version, id1);
+    EXPECT_EQ(kv.cas("k", "v4", 7, id1), apps::MutResult::exists);
+    EXPECT_EQ(kv.cas("k", "v4", 7, r.version), apps::MutResult::stored);
+}
+
+TEST_P(KvMutationTest, CasRejectsIdOfDeletedItem)
+{
+    // ABA: an id read before a delete must not match the re-created
+    // item, even though both hold the same key (and value).
+    Harness h(GetParam(), rt::ClobberPolicy::refined, 64ULL << 20);
+    auto eng = h.engine();
+    apps::KvServer::Config cfg;
+    cfg.shards = 4;
+    cfg.bucketsPerShard = 32;
+    apps::KvServer kv(eng, 0, cfg);
+
+    kv.set("k", "v");
+    apps::KvReadResult r;
+    ASSERT_TRUE(kv.get("k", &r));
+    uint64_t old = r.version;
+    ASSERT_TRUE(kv.del("k"));
+    kv.set("k", "v");
+    EXPECT_EQ(kv.cas("k", "w", 0, old), apps::MutResult::exists);
+    ASSERT_TRUE(kv.get("k", &r));
+    EXPECT_EQ(r.str(), "v");
 }
 
 TEST_P(KvMutationTest, ApplyBatchMatchesSingles)
@@ -236,6 +273,409 @@ INSTANTIATE_TEST_SUITE_P(
           default: return "clobber";
         }
     });
+
+apps::KvServer::Config
+smallKvCfg()
+{
+    apps::KvServer::Config cfg;
+    cfg.shards = 4;
+    cfg.bucketsPerShard = 32;
+    return cfg;
+}
+
+uint64_t
+idOf(apps::KvServer& kv, std::string_view key)
+{
+    apps::KvReadResult r;
+    EXPECT_TRUE(kv.get(key, &r)) << key;
+    return r.version;
+}
+
+/** 16-byte keys and 64-byte values, as in the benchmark. */
+std::string
+key16(int i)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "key-%012d", i);
+    return buf;
+}
+
+std::string
+val64(int i, char fill)
+{
+    std::string v(64, fill);
+    std::memcpy(v.data(), &i, sizeof(i));
+    return v;
+}
+
+TEST(KvCasIds, ReattachNeverReissuesAnId)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    auto eng = h.engine();
+    std::set<uint64_t> issued;
+    uint64_t rootOff = 0;
+    for (int open = 0; open < 4; open++) {
+        apps::KvServer kv(eng, rootOff, smallKvCfg());
+        rootOff = kv.rootOff();
+        for (int i = 0; i < 10; i++) {
+            std::string key = key16(i);
+            kv.set(key, val64(open, 'v'));
+            EXPECT_TRUE(issued.insert(idOf(kv, key)).second)
+                << "open " << open << " key " << key;
+        }
+        std::vector<std::string> keys{"b0", "b1", "b2", "b3"};
+        std::vector<apps::MutOp> ops;
+        for (const auto& key : keys)
+            ops.push_back({apps::MutKind::set, key, "x"});
+        std::vector<apps::MutResult> res(ops.size());
+        kv.applyBatch(ops, res.data());
+        for (const auto& key : keys) {
+            EXPECT_TRUE(issued.insert(idOf(kv, key)).second)
+                << "open " << open << " key " << key;
+        }
+    }
+}
+
+TEST(KvLayout, AttachRejectsForeignLayoutTag)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    auto eng = h.engine();
+    uint64_t rootOff = 0;
+    {
+        apps::KvServer kv(eng, 0, smallKvCfg());
+        kv.set("k", "v");
+        rootOff = kv.rootOff();
+    }
+    // A root in the earlier layout starts with {nShards,
+    // bucketsPerShard} and has no tag word.
+    auto* words = static_cast<uint64_t*>(h.pool->at(rootOff));
+    uint64_t legacy[2] = {4, 32};
+    uint64_t saved[2] = {words[0], words[1]};
+    h.pool->write(words, legacy, sizeof(legacy));
+    try {
+        apps::KvServer kv(eng, rootOff, smallKvCfg());
+        FAIL() << "attached to a root without the layout tag";
+    } catch (const apps::KvLayoutError& e) {
+        EXPECT_EQ(e.found(), 4u);
+    }
+    h.pool->write(words, saved, sizeof(saved));
+    apps::KvServer kv(eng, rootOff, smallKvCfg());
+    ds::LookupResult r;
+    ASSERT_TRUE(kv.get("k", &r));
+    EXPECT_EQ(r.str(), "v");
+}
+
+// ---------------------------------------------------------------
+// Log less: an in-place set is a blind write
+
+template <typename Fn>
+stats::Snapshot
+countersOf(Fn&& fn)
+{
+    auto before = stats::aggregate();
+    fn();
+    return stats::aggregate() - before;
+}
+
+TEST(KvLogLess, InPlaceSetLogsNothing)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    auto eng = h.engine();
+    apps::KvServer kv(eng, 0, smallKvCfg());
+    for (int i = 0; i < 8; i++)
+        kv.set(key16(i), val64(i, 'a'));
+
+    auto d = countersOf([&] { kv.set(key16(3), val64(3, 'b')); });
+    EXPECT_EQ(d[stats::Counter::logEntries], 0u);
+    EXPECT_EQ(d[stats::Counter::clobberEntries], 0u);
+    ds::LookupResult r;
+    ASSERT_TRUE(kv.get(key16(3), &r));
+    EXPECT_EQ(r.str(), val64(3, 'b'));
+}
+
+TEST(KvLogLess, BatchOfInPlaceSetsLogsNothingAndFencesLikeOne)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    auto eng = h.engine();
+    apps::KvServer kv(eng, 0, smallKvCfg());
+    std::vector<std::string> keys, vals;
+    for (int i = 0; i < 8; i++) {
+        keys.push_back(key16(i));
+        vals.push_back(val64(i, 'c'));
+        kv.set(keys.back(), val64(i, 'a'));
+    }
+    std::vector<apps::MutOp> ops;
+    for (int i = 0; i < 8; i++)
+        ops.push_back({apps::MutKind::set, keys[i], vals[i], 9});
+    apps::MutResult res[8];
+
+    auto one = countersOf([&] { kv.applyBatch({ops.data(), 1}, res); });
+    auto eight = countersOf([&] { kv.applyBatch(ops, res); });
+    EXPECT_EQ(one[stats::Counter::logEntries], 0u);
+    EXPECT_EQ(eight[stats::Counter::logEntries], 0u);
+    EXPECT_EQ(eight[stats::Counter::fences], one[stats::Counter::fences]);
+    for (int i = 0; i < 8; i++) {
+        apps::KvReadResult r;
+        ASSERT_TRUE(kv.get(keys[i], &r));
+        EXPECT_EQ(r.str(), vals[i]);
+        EXPECT_EQ(r.flags, 9u);
+    }
+}
+
+TEST(KvLogLess, InsertLogsOnlyTheBucketHeadAndWritesValuesOnce)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    auto eng = h.engine();
+    apps::KvServer kv(eng, 0, smallKvCfg());
+    auto small = countersOf([&] { kv.set(key16(1), "s"); });
+    EXPECT_EQ(small[stats::Counter::logEntries], 1u);
+    EXPECT_EQ(small[stats::Counter::clobberBytes], 8u);  // bucket head
+
+    // Value bytes reach NVM twice per insert (v_log argument + item);
+    // zero-filling the item first would make it three times.
+    std::string big(1000, 'z');
+    auto large = countersOf([&] { kv.set(key16(2), big); });
+    EXPECT_EQ(large[stats::Counter::logEntries], 1u);
+    uint64_t grew = large[stats::Counter::nvmWriteBytes] -
+                    small[stats::Counter::nvmWriteBytes];
+    uint64_t extra = big.size() - 1;
+    EXPECT_GE(grew, 2 * extra);
+    EXPECT_LT(grew, 2 * extra + 64);
+}
+
+TEST(KvLogLess, UndoLogsOneRangePerStoredField)
+{
+    // Undo logging (PMDK) logs every stored range: an in-place set
+    // logs its value and its metadata, flags and CAS id as ONE range.
+    Harness h(RuntimeKind::undo, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    auto eng = h.engine();
+    apps::KvServer kv(eng, 0, smallKvCfg());
+    kv.set(key16(1), val64(1, 'a'));
+    auto d = countersOf([&] { kv.set(key16(1), val64(1, 'b')); });
+    EXPECT_EQ(d[stats::Counter::undoEntries], 2u);
+    EXPECT_EQ(d[stats::Counter::undoBytes], 64u + sizeof(apps::KvMeta));
+}
+
+/**
+ * Power-fail `h`'s pool (torn per `seed`) and restart as a fresh
+ * process would: new allocator, runtime and engine, recovery, and a
+ * re-attached KvServer. Lazy recovery is settled before returning.
+ */
+void
+restartKv(Harness& h, std::unique_ptr<txn::Engine>& eng,
+          std::unique_ptr<apps::KvServer>& kv, uint64_t seed, bool lazy)
+{
+    uint64_t rootOff = kv->rootOff();
+    h.pool->simulateCrash(seed);
+    kv.reset();
+    eng.reset();
+    h.runtime.reset();
+    h.heap = std::make_unique<alloc::PmAllocator>(*h.pool, lazy);
+    h.runtime = rt::makeRuntime(RuntimeKind::clobber, *h.pool, *h.heap);
+    eng = std::make_unique<txn::Engine>(*h.runtime);
+    eng->recover(lazy ? txn::RecoveryMode::lazy : txn::RecoveryMode::full,
+                 /* backgroundHealer */ false);
+    kv = std::make_unique<apps::KvServer>(*eng, rootOff, smallKvCfg());
+    eng->finishRecovery();
+}
+
+/**
+ * A batched in-place set of 8 existing keys, torn at every write
+ * index and recovered (full and lazy) by a fresh process: each key
+ * holds its old value with its old id or its new value with the id
+ * the batch issued it, never a mix, and the batch is all-or-nothing.
+ * Ids issued after the re-attach are all new.
+ */
+TEST(KvBlindUpdateCrash, BatchedInPlaceSetsAtEveryWriteIndex)
+{
+    for (bool lazy : {false, true}) {
+        SCOPED_TRACE(lazy ? "lazy" : "full");
+        Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+                  16ULL << 20);
+        auto eng = std::make_unique<txn::Engine>(*h.runtime);
+        auto kv = std::make_unique<apps::KvServer>(*eng, 0, smallKvCfg());
+
+        constexpr int kKeys = 8;
+        std::vector<std::string> keys, vals(kKeys);
+        std::vector<uint64_t> ids(kKeys);
+        std::set<uint64_t> issued;
+        for (int i = 0; i < kKeys; i++) {
+            keys.push_back(key16(i));
+            vals[i] = val64(i, 'a');
+            kv->set(keys[i], vals[i]);
+            ids[i] = idOf(*kv, keys[i]);
+            issued.insert(ids[i]);
+        }
+
+        int crashes = 0;
+        for (uint64_t k = 1; k < 200; k++) {
+            // The id just before the batch pins the batch's ids:
+            // op i stores marker + 1 + i.
+            kv->set("marker", "m");
+            uint64_t marker = idOf(*kv, "marker");
+            EXPECT_TRUE(issued.insert(marker).second);
+            std::vector<std::string> next(kKeys);
+            std::vector<apps::MutOp> ops;
+            for (int i = 0; i < kKeys; i++) {
+                next[i] = val64(i, static_cast<char>('b' + k % 20));
+                ops.push_back({apps::MutKind::set, keys[i], next[i]});
+            }
+            apps::MutResult res[kKeys];
+            bool crashed = false;
+            h.pool->armWriteTrap(k);
+            try {
+                kv->applyBatch(ops, res);
+            } catch (const nvm::CrashInjected&) {
+                crashed = true;
+            }
+            h.pool->armWriteTrap(0);
+            for (int i = 0; i < kKeys; i++)
+                issued.insert(marker + 1 + i);
+            if (crashed) {
+                crashes++;
+                restartKv(h, eng, kv, 4000 + k, lazy);
+            }
+            int fresh = 0;
+            for (int i = 0; i < kKeys; i++) {
+                apps::KvReadResult r;
+                ASSERT_TRUE(kv->get(keys[i], &r)) << "write " << k;
+                if (r.str() == next[i]) {
+                    EXPECT_EQ(r.version, marker + 1 + i)
+                        << "write " << k << " key " << i;
+                    vals[i] = next[i];
+                    ids[i] = r.version;
+                    fresh++;
+                } else {
+                    EXPECT_EQ(r.str(), vals[i])
+                        << "write " << k << " key " << i;
+                    EXPECT_EQ(r.version, ids[i])
+                        << "write " << k << " key " << i;
+                }
+            }
+            EXPECT_TRUE(fresh == 0 || fresh == kKeys) << "write " << k;
+            if (!crashed) {
+                EXPECT_EQ(fresh, kKeys);
+                break;
+            }
+            kv->set("after", "a");
+            EXPECT_TRUE(issued.insert(idOf(*kv, "after")).second)
+                << "write " << k;
+        }
+        EXPECT_GT(crashes, 10);
+        kv.reset();
+        eng.reset();
+    }
+}
+
+/** Throws CrashInjected right after the `at`-th flush the calling
+ *  thread issues: power fails between a clwb and the fence that would
+ *  have retired it. */
+class CrashAfterFlush : public nvm::PersistObserver {
+ public:
+    explicit CrashAfterFlush(uint64_t at) : left_(at) {}
+    void
+    flushed(uint64_t) override
+    {
+        if (left_ > 0 && --left_ == 0)
+            throw nvm::CrashInjected{};
+    }
+    void fenced() override {}
+
+ private:
+    uint64_t left_;
+};
+
+/**
+ * The first transaction after an attach, crashed at every write index
+ * and right after every flush, each under several tear seeds (no
+ * other transaction runs in between). Whatever id recovery leaves in
+ * the item, the ids the next attach issues are new: the attach's
+ * epoch must be durable before the begin fence of its first
+ * transaction, whose descriptor may survive a tear that loses an
+ * unfenced epoch.
+ */
+TEST(KvBlindUpdateCrash, FirstTransactionAfterAttach)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              16ULL << 20);
+    auto eng = std::make_unique<txn::Engine>(*h.runtime);
+    auto kv = std::make_unique<apps::KvServer>(*eng, 0, smallKvCfg());
+    const std::string key = "k";
+    std::string val = "0";
+    kv->set(key, val);
+    std::set<uint64_t> issued{idOf(*kv, key)};
+
+    int crashes = 0, redone = 0;
+    for (bool atFlush : {false, true}) {
+        SCOPED_TRACE(atFlush ? "after flush" : "at write");
+        // The window that matters (begin flush issued, begin fence
+        // not yet) needs the descriptor kept and the epoch lost, a
+        // few percent of tears: sweep many seeds there.
+        const uint64_t kSeeds = atFlush ? 256 : 8;
+        bool pastEnd = false;
+        for (uint64_t k = 1; !pastEnd && k < 100; k++) {
+            for (uint64_t seed = 0; seed < kSeeds; seed++) {
+                // A clean re-attach: the set below is its first
+                // transaction.
+                uint64_t rootOff = kv->rootOff();
+                kv.reset();
+                kv = std::make_unique<apps::KvServer>(*eng, rootOff,
+                                                      smallKvCfg());
+                std::string next = std::to_string(k * kSeeds + seed + 1);
+                CrashAfterFlush trap(k);
+                if (atFlush)
+                    nvm::setPersistObserver(&trap);
+                else
+                    h.pool->armWriteTrap(k);
+                bool crashed = false;
+                try {
+                    kv->set(key, next);
+                } catch (const nvm::CrashInjected&) {
+                    crashed = true;
+                }
+                nvm::setPersistObserver(nullptr);
+                h.pool->armWriteTrap(0);
+                if (!crashed) {
+                    EXPECT_TRUE(issued.insert(idOf(*kv, key)).second);
+                    val = next;
+                    pastEnd = true;
+                    break;
+                }
+                crashes++;
+                restartKv(h, eng, kv, 9000 + k * kSeeds + seed,
+                          /* lazy */ false);
+                apps::KvReadResult r;
+                ASSERT_TRUE(kv->get(key, &r)) << "point " << k;
+                if (r.str() == next) {
+                    // Re-executed: it stored the id the crashed run
+                    // drew, which nobody issued before.
+                    EXPECT_TRUE(issued.insert(r.version).second)
+                        << "point " << k << " seed " << seed;
+                    val = next;
+                    redone++;
+                } else {
+                    EXPECT_EQ(r.str(), val) << "point " << k;
+                    EXPECT_TRUE(issued.count(r.version))
+                        << "point " << k << " seed " << seed;
+                }
+                kv->set("after", "a");
+                EXPECT_TRUE(issued.insert(idOf(*kv, "after")).second)
+                    << "point " << k << " seed " << seed;
+            }
+        }
+        EXPECT_TRUE(pastEnd);
+    }
+    EXPECT_GT(crashes, 100);
+    EXPECT_GT(redone, 10);
+    kv.reset();
+    eng.reset();
+}
 
 // ---------------------------------------------------------------
 // Service layer
@@ -334,8 +774,12 @@ TEST(KvService, BatchOverflowFallsBackPerOp)
         r.done = &done;
     }
     done.expect(8);
+    // One submission, so the worker sees all 8 as one group however
+    // the threads are scheduled.
+    std::vector<server::Request*> run;
     for (auto& r : reqs)
-        svc.submit(&r);
+        run.push_back(&r);
+    svc.submitMany(0, run.data(), run.size());
     done.wait();
     auto st = svc.totalStats();
     svc.stop();
@@ -403,6 +847,48 @@ class SockClient {
         return out;
     }
 
+    /** Send `req`, read until the reply ends with `terminator`. */
+    std::string
+    roundTripUntil(const std::string& req, std::string_view terminator)
+    {
+        EXPECT_EQ(::send(fd_, req.data(), req.size(), 0),
+                  static_cast<ssize_t>(req.size()));
+        std::string out;
+        char buf[4096];
+        while (!out.ends_with(terminator)) {
+            ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+            if (n <= 0)
+                break;
+            out.append(buf, static_cast<size_t>(n));
+        }
+        return out;
+    }
+
+    /**
+     * `gets key` for a single hit whose header starts with `prefix`
+     * ("VALUE <key> <flags> <bytes> ") and whose data is `data`.
+     * @return the cas unique, which memcached clients treat as opaque.
+     */
+    uint64_t
+    getsUnique(const std::string& key, const std::string& prefix,
+               const std::string& data)
+    {
+        std::string got = roundTripUntil("gets " + key + "\r\n",
+                                         "END\r\n");
+        EXPECT_TRUE(got.starts_with(prefix)) << got;
+        std::string tail = "\r\n" + data + "\r\nEND\r\n";
+        EXPECT_TRUE(got.ends_with(tail)) << got;
+        if (!got.starts_with(prefix) || !got.ends_with(tail) ||
+            got.size() <= prefix.size() + tail.size())
+            return 0;
+        std::string digits = got.substr(
+            prefix.size(), got.size() - prefix.size() - tail.size());
+        EXPECT_EQ(digits.find_first_not_of("0123456789"),
+                  std::string::npos)
+            << got;
+        return std::stoull(digits);
+    }
+
  private:
     int fd_ = -1;
 };
@@ -456,21 +942,25 @@ TEST(TcpServer, MemcachedConversation)
     EXPECT_EQ(c.roundTrip("set foo 7 0 3\r\nbar\r\n", exp.size()),
               exp);
 
-    exp = "VALUE foo 7 3 1\r\nbar\r\nEND\r\n";
-    EXPECT_EQ(c.roundTrip("gets foo\r\n", exp.size()), exp);
+    uint64_t id = c.getsUnique("foo", "VALUE foo 7 3 ", "bar");
+    ASSERT_NE(id, 0u);
+    std::string unique = std::to_string(id);
 
     exp = "STORED\r\n";
-    EXPECT_EQ(c.roundTrip("cas foo 7 0 3 1\r\nbaz\r\n", exp.size()),
+    EXPECT_EQ(c.roundTrip("cas foo 7 0 3 " + unique + "\r\nbaz\r\n",
+                          exp.size()),
               exp);
     exp = "EXISTS\r\n";  // stale cas unique
-    EXPECT_EQ(c.roundTrip("cas foo 7 0 3 1\r\nnew\r\n", exp.size()),
+    EXPECT_EQ(c.roundTrip("cas foo 7 0 3 " + unique + "\r\nnew\r\n",
+                          exp.size()),
               exp);
     exp = "NOT_FOUND\r\n";
     EXPECT_EQ(c.roundTrip("cas nil 0 0 1 1\r\nx\r\n", exp.size()),
               exp);
 
-    exp = "VALUE foo 7 3 2\r\nbaz\r\nEND\r\n";
-    EXPECT_EQ(c.roundTrip("gets foo\r\n", exp.size()), exp);
+    uint64_t next = c.getsUnique("foo", "VALUE foo 7 3 ", "baz");
+    EXPECT_NE(next, 0u);
+    EXPECT_NE(next, id);
 
     exp = "DELETED\r\n";
     EXPECT_EQ(c.roundTrip("delete foo\r\n", exp.size()), exp);
@@ -482,6 +972,32 @@ TEST(TcpServer, MemcachedConversation)
 
     exp = "ERROR\r\n";
     EXPECT_EQ(c.roundTrip("bogus\r\n", exp.size()), exp);
+}
+
+TEST(TcpServer, CasUniqueIsNotTruncated)
+{
+    Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
+              64ULL << 20);
+    Stack s(h);
+    SockClient c(s.tcp.port());
+
+    std::string exp = "STORED\r\n";
+    EXPECT_EQ(c.roundTrip("set foo 0 0 2\r\nab\r\n", exp.size()), exp);
+    uint64_t id = c.getsUnique("foo", "VALUE foo 0 2 ", "ab");
+    ASSERT_NE(id, 0u);
+
+    // The same id plus 2^32: equal in the low 32 bits only.
+    std::string alias = std::to_string(id + (uint64_t{1} << 32));
+    exp = "EXISTS\r\n";
+    EXPECT_EQ(c.roundTrip("cas foo 0 0 2 " + alias + "\r\ncd\r\n",
+                          exp.size()),
+              exp);
+    exp = "STORED\r\n";
+    EXPECT_EQ(c.roundTrip("cas foo 0 0 2 " + std::to_string(id) +
+                              "\r\nef\r\n",
+                          exp.size()),
+              exp);
+    c.getsUnique("foo", "VALUE foo 0 2 ", "ef");
 }
 
 TEST(TcpServer, PipelinedWindowKeepsCommandOrder)

@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -213,7 +214,14 @@ main(int argc, char** argv)
     kvCfg.lockMode = opt.lock == "spin"
                          ? apps::KvServer::LockMode::spin
                          : apps::KvServer::LockMode::rw;
-    apps::KvServer kv(eng, pool->root(), kvCfg);
+    std::unique_ptr<apps::KvServer> store;
+    try {
+        store = std::make_unique<apps::KvServer>(eng, pool->root(), kvCfg);
+    } catch (const apps::KvLayoutError& e) {
+        std::fprintf(stderr, "cannot attach store: %s\n", e.what());
+        return 2;
+    }
+    apps::KvServer& kv = *store;
     if (fresh)
         pool->setRoot(kv.rootOff());
 
