@@ -3,7 +3,7 @@
  * Log-writer shootout: writer × protocol × op × threads.
  *
  * Same harness shape as micro_txpath, but the swept axis is the
- * pluggable log-append engine (baseline / zero / zerocached) selected
+ * pluggable log-append engine (baseline / zerocached) selected
  * per run via rt::selectLogWriter — not the process-global
  * CNVM_LOG_WRITER knob, so one invocation produces the whole ablation
  * matrix. Two ops bracket the log-append cost:
@@ -15,7 +15,7 @@
  *   logheavy   one RMW per distinct word of a 4 KiB region per
  *              transaction: every store is a first-touch append. This
  *              is the O(entries)-fences worst case the zero-fence
- *              writers target.
+ *              zerocached writer targets.
  *
  * For threads=1 the rows carry fences/tx, entries/tx and flushes/tx
  * from the stats counters — the fence-elision and flush-coalescing
@@ -237,8 +237,7 @@ main(int argc, char** argv)
         txn::RuntimeKind::redo, txn::RuntimeKind::atlas,
         txn::RuntimeKind::ido};
     const std::vector<rt::LogWriterKind> writers = {
-        rt::LogWriterKind::baseline, rt::LogWriterKind::zero,
-        rt::LogWriterKind::zerocached};
+        rt::LogWriterKind::baseline, rt::LogWriterKind::zerocached};
 
     struct Cell {
         txn::RuntimeKind kind;

@@ -7,7 +7,7 @@
 # The default label is "current". One run sweeps the full matrix
 # internally (writer x protocol x op x threads via
 # rt::selectLogWriter), so the baseline-writer rows double as the
-# ablation reference for the zero/zerocached rows of the same run —
+# ablation reference for the zerocached rows of the same run —
 # no pre-change capture is needed.
 #
 # Knobs (env): CNVM_OPS (txfunc calls/thread, default 400000),

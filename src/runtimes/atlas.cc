@@ -30,7 +30,7 @@ AtlasRuntime::appendLockRecord(unsigned tid, uint64_t code)
     // reason — the successor's fence would have retired this line (see
     // DESIGN.md §12). Under the eliding log writers no such fence
     // exists, but the undo-family declared-salvage rule covers Atlas
-    // too (rollbackSlot never claims a clean roll-back then), and the
+    // too (healOngoing never claims a clean roll-back then), and the
     // zerocached staging window is strictly FIFO, so markers keep
     // their position relative to undo entries on media.
     appendLogEntry(tid, kMarkerOff, &code, sizeof(code),

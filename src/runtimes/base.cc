@@ -513,16 +513,6 @@ RuntimeBase::recoverIdleIntents(unsigned tid, bool committed)
 }
 
 void
-RuntimeBase::rebuildHeap(bool keepSession)
-{
-    alloc::RebuildStats rs = heap_.rebuild(keepSession);
-    if (report_ != nullptr) {
-        report_->quarantinedBlocks += rs.quarantinedBlocks;
-        report_->quarantinedBytes += rs.quarantinedBytes;
-    }
-}
-
-void
 RuntimeBase::resetVolatileSlot(unsigned tid)
 {
     slot(tid) = SlotState{};
@@ -548,8 +538,6 @@ txn::RecoveryIndex
 RuntimeBase::recoveryTriage()
 {
     txn::RecoveryIndex idx;
-    idx.supportsLazy = true;
-    idx.heapPending = true;
     for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
         resetVolatileSlot(tid);
         txn::IndexEntry e;
@@ -587,7 +575,7 @@ RuntimeBase::recoveryTriage()
 }
 
 void
-RuntimeBase::healOneSlot(unsigned tid, txn::SlotClass)
+RuntimeBase::healOneSlot(unsigned tid)
 {
     // Re-derive the slot's condition from media: the triage class is
     // advisory, and a crash mid-heal may have left the slot in a later
@@ -610,17 +598,22 @@ RuntimeBase::healSlot(const txn::IndexEntry& e)
     // Per-entry heals examine one slot of the universe triage already
     // counted; merge() takes the max, so report 0 here.
     session.report().slotsScanned = 0;
-    healOneSlot(e.tid, e.cls);
+    healOneSlot(e.tid);
     resetVolatileSlot(e.tid);
     return session.take();
 }
 
 txn::RecoveryReport
-RuntimeBase::healHeap()
+RuntimeBase::healHeap(txn::RecoveryMode mode)
 {
     RecoverySession session(*this);
     session.report().slotsScanned = 0;
-    rebuildHeap(/* keepSession */ true);
+    // Lazy mode keeps the allocator session: live reservations and
+    // holds of admitted transactions stay masked.
+    alloc::RebuildStats rs =
+        heap_.rebuild(/* keepSession */ mode == txn::RecoveryMode::lazy);
+    session.report().quarantinedBlocks += rs.quarantinedBlocks;
+    session.report().quarantinedBytes += rs.quarantinedBytes;
     return session.take();
 }
 

@@ -55,7 +55,7 @@ class RuntimeBase : public txn::Runtime {
     void txAbort(unsigned tid) override;
 
     /**
-     * @name Lazy (instant-restart) recovery — triage/heal split
+     * @name Recovery hooks (txn::Runtime::recover runs them in order)
      *
      * recoveryTriage() is the bounded pass: classify every slot from
      * its descriptor (no log replay, no bitmap scan), collect the
@@ -63,17 +63,23 @@ class RuntimeBase : public txn::Runtime {
      * state. It writes nothing a re-run could disagree with — the
      * index rebuilds identically from the same media, so a crash
      * anywhere inside triage (or between triage and the last heal)
-     * just means triage runs again. healSlot() is the per-entry slice
-     * of recover(): it re-derives the slot's condition from media
-     * (the triage class is advisory) and applies exactly the repair
-     * full recovery would, so healing twice — or healing after a
-     * crash that landed mid-heal — is idempotent. healHeap() is the
-     * full allocator reconciliation, run once after all entries heal.
+     * just means triage runs again. healSlot() re-derives the slot's
+     * condition from media (the triage class is advisory) and applies
+     * the protocol's repair through healOneSlot, so healing twice —
+     * or healing after a crash that landed mid-heal — is idempotent.
+     * healHeap() is the allocator reconciliation, run once after all
+     * entries heal. resumeSlot() is empty here: only the
+     * clobber-family runtimes leave a healed slot owing work.
      */
     /// @{
     txn::RecoveryIndex recoveryTriage() override;
     txn::RecoveryReport healSlot(const txn::IndexEntry& e) override;
-    txn::RecoveryReport healHeap() override;
+    txn::RecoveryReport healHeap(txn::RecoveryMode mode) override;
+    txn::RecoveryReport
+    resumeSlot(const txn::IndexEntry& /* e */) override
+    {
+        return {};
+    }
     /// @}
 
  protected:
@@ -200,9 +206,9 @@ class RuntimeBase : public txn::Runtime {
      * Append a self-validating log entry carrying `len` bytes of
      * `payload` attributed to `targetOff`, through the active log
      * writer. The baseline writer flushes the entry and fences iff
-     * `fence == LogFence::required`; the zero/zerocached writers
-     * elide the fence (and zerocached defers even the NVM write
-     * until a staging line fills or sealLog runs). Throws
+     * `fence == LogFence::required`; the zerocached writer elides
+     * the fence and defers even the NVM write until a staging window
+     * fills or sealLog runs. Throws
      * txn::LogOverflowError when the entry does not fit the slot's
      * log area (nothing is written in that case).
      */
@@ -305,14 +311,14 @@ class RuntimeBase : public txn::Runtime {
     /**
      * @name Salvage support
      *
-     * recover() implementations open a RecoverySession, which exposes
-     * the in-progress txn::RecoveryReport through report_ (null
-     * outside recovery, so the hot path never touches it) and
-     * snapshots the fault model's counters to attribute poisoned
-     * reads and retries to this pass. The session is exception-safe:
-     * a CrashInjected thrown mid-recovery (crash-during-recovery
-     * torture) unwinds it cleanly and the next recover() starts a
-     * fresh report.
+     * Each recovery hook (healSlot, healHeap, resumeSlot) opens a
+     * RecoverySession, which exposes the in-progress
+     * txn::RecoveryReport through report_ (null outside recovery, so
+     * the hot path never touches it) and snapshots the fault model's
+     * counters to attribute poisoned reads and retries to that hook.
+     * The session is exception-safe: a CrashInjected thrown
+     * mid-recovery (crash-during-recovery torture) unwinds it cleanly
+     * and the next hook starts a fresh report.
      */
     /// @{
     class RecoverySession {
@@ -361,7 +367,7 @@ class RuntimeBase : public txn::Runtime {
     void salvageResetSlot(unsigned tid);
 
     /**
-     * Common recover() preamble for one slot. False means the
+     * Common heal preamble for one slot. False means the
      * descriptor itself is unreadable: the slot has been recorded as
      * salvage-aborted and persistently reset (the reset writes heal
      * the poisoned lines), and the caller must skip it.
@@ -377,19 +383,10 @@ class RuntimeBase : public txn::Runtime {
     void recoverIdleIntents(unsigned tid, bool committed);
 
     /**
-     * heap_.rebuild() folding quarantine stats into the report.
-     * `keepSession` passes through to PmAllocator::rebuild: true is
-     * the lazy-recovery final reconcile (live reservations and holds
-     * stay masked), false is fresh-process recovery.
-     */
-    void rebuildHeap(bool keepSession = false);
-
-    /**
-     * @name Per-slot recovery hooks (shared by recover() and healSlot)
+     * @name Per-slot protocol hooks behind triage and healSlot
      *
-     * The full recover() implementations and the lazy per-entry heals
-     * run the same protocol logic through these virtuals; overriding
-     * one repairs both paths.
+     * Full and lazy recovery both reach the protocol logic through
+     * these virtuals only.
      */
     /// @{
     /** Drop the slot's volatile transaction state (redo also clears
@@ -410,11 +407,13 @@ class RuntimeBase : public txn::Runtime {
     /**
      * Heal one slot: vet the descriptor (salvage-reset if unreadable)
      * and dispatch to healOngoing / healCommitting / healIdle from
-     * the slot's *current* media state. The class is advisory.
+     * the slot's *current* media state.
      */
-    virtual void healOneSlot(unsigned tid, txn::SlotClass cls);
+    virtual void healOneSlot(unsigned tid);
 
-    /** Repair an interrupted (status=ongoing) transaction. */
+    /** Repair an interrupted (status=ongoing) transaction: roll it
+     *  back, or restore its inputs and leave it ongoing for
+     *  resumeSlot to re-execute. */
     virtual void healOngoing(unsigned /* tid */) {}
 
     /** Roll a committing slot forward (redo). The default treats it
@@ -434,7 +433,7 @@ class RuntimeBase : public txn::Runtime {
     }
     /// @}
 
-    /** Active recovery report; null outside recover(). */
+    /** Active recovery report; null outside a recovery hook. */
     txn::RecoveryReport* report_ = nullptr;
     /// @}
 

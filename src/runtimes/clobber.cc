@@ -61,8 +61,8 @@ ClobberRuntime::appendClobberEntry(unsigned tid, void* dst, size_t n)
     // block), so the widened image is the true pre-state. The fence
     // matters: the clobbered line can tear independently of the log
     // line, so the entry should be durable before the in-place write
-    // executes. Under the zero/zerocached writers it is elided and
-    // recover() compensates by declaring the interrupted transaction
+    // executes. Under the zerocached writer it is elided and recovery
+    // compensates by declaring the interrupted transaction
     // salvage-aborted instead of re-executing it.
     uint64_t off = pool_.offsetOf(dst);
     uint64_t lo = off & ~(kBlock - 1);
@@ -267,52 +267,26 @@ ClobberRuntime::reexecuteGuarded(unsigned tid)
 void
 ClobberRuntime::healOngoing(unsigned tid)
 {
+    // A damaged clobber log means some pre-state is unrecoverable:
+    // restore what validated, but do NOT re-execute — the txfunc
+    // would read partly-garbage inputs and commit on top of them.
     salvage::ScanStats st = restoreSlot(tid);
-    if (st.damaged() || logWriterElides()) {
+    if (st.damaged() || logWriterElides())
         declareRestoreAbort(tid, st);
-        return;
-    }
-    // Restore and re-execute back to back: lazy recovery has no
-    // stop-the-world heap rebuild to interleave — the allocator's
-    // incremental scan serves the re-execution's reservations, and
-    // this slot's own reverted blocks are simply not handed out until
-    // the final reconcile (the safe direction).
-    resetVolatileSlot(tid);
-    reexecuteGuarded(tid);
 }
 
 txn::RecoveryReport
-ClobberRuntime::recover()
+ClobberRuntime::resumeSlot(const txn::IndexEntry& e)
 {
+    if (!isOngoing(e.tid))
+        return {};
+    // Under lazy recovery no full heap rebuild precedes this: the
+    // allocator's incremental scan serves the re-execution, and this
+    // slot's own reverted blocks are simply not handed out until the
+    // final reconcile (the safe direction).
     RecoverySession session(*this);
-    // Phase 1: restore every interrupted transaction's clobbered
-    // inputs and revert its allocation intents. A damaged clobber log
-    // means some pre-state is unrecoverable: restore what validated,
-    // but do NOT re-execute — the txfunc would read partly-garbage
-    // inputs and commit on top of them.
-    std::vector<unsigned> interrupted;
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        if (!slotRecoverable(tid)) {
-            slot(tid) = SlotState{};
-            continue;
-        }
-        if (isOngoing(tid)) {
-            salvage::ScanStats st = restoreSlot(tid);
-            if (st.damaged() || logWriterElides()) {
-                declareRestoreAbort(tid, st);
-            } else {
-                interrupted.push_back(tid);
-            }
-        } else {
-            recoverIdleIntents(tid, /* committed */ true);
-        }
-        slot(tid) = SlotState{};
-    }
-    // Phase 2: rebuild the allocator's volatile state from the (now
-    // reverted) bitmap, then re-execute each transaction to completion.
-    rebuildHeap();
-    for (unsigned tid : interrupted)
-        reexecuteGuarded(tid);
+    session.report().slotsScanned = 0;
+    reexecuteGuarded(e.tid);
     return session.take();
 }
 

@@ -57,8 +57,11 @@ class ClobberRuntime : public RuntimeBase {
                size_t n) override;
     void load(unsigned tid, void* dst, const void* src,
               size_t n) override;
-    txn::RecoveryReport recover() override;
     bool recovering() const override { return recovering_; }
+
+    /** Re-execute a healed slot whose inputs were restored (it is
+     *  still ongoing on media); a no-op for any other slot. */
+    txn::RecoveryReport resumeSlot(const txn::IndexEntry& e) override;
 
     ClobberPolicy policy() const { return policy_; }
 
@@ -80,12 +83,10 @@ class ClobberRuntime : public RuntimeBase {
     void appendClobberEntry(unsigned tid, void* dst, size_t n);
 
     /**
-     * Interrupted transaction: restore its clobbered inputs, then —
-     * unless the log was damaged or an eliding writer was active —
-     * re-execute the txfunc to completion on the calling thread.
-     * Unlike the two-phase recover() there is no separate heap
-     * rebuild between restore and re-execution: under lazy recovery
-     * the allocator's incremental scan is already live.
+     * Interrupted transaction: restore its clobbered inputs and
+     * revert its intents, leaving the slot ongoing for resumeSlot. A
+     * damaged log or an eliding writer instead abandons the slot with
+     * a declared salvage abort.
      */
     void healOngoing(unsigned tid) override;
 
@@ -102,10 +103,10 @@ class ClobberRuntime : public RuntimeBase {
     static thread_local bool recovering_;
 
  private:
-    /** Restore clobbered inputs, revert intents (phase 1 of
-     *  recovery). @return what the log scan observed. */
+    /** Restore clobbered inputs, revert intents.
+     *  @return what the log scan observed. */
     salvage::ScanStats restoreSlot(unsigned tid);
-    /** Re-execute the interrupted txfunc (phase 2 of recovery). */
+    /** Re-execute the interrupted txfunc to commit. */
     void reexecuteSlot(unsigned tid);
     /** Roll back a partially re-executed slot and abandon it. */
     void abortReexecution(unsigned tid, const char* why);

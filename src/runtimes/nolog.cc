@@ -55,37 +55,21 @@ NoLogRuntime::load(unsigned, void* dst, const void* src, size_t n)
     std::memcpy(dst, src, n);
 }
 
-txn::RecoveryReport
-NoLogRuntime::recover()
-{
-    // Nothing persistent to repair (and no way to), but interrupted
-    // transactions' volatile slot state must still be dropped or the
-    // restarted process cannot begin a new transaction on that slot.
-    // The *data* those transactions tore stays torn — that is the
-    // point of the baseline, and what the torture sweep detects. The
-    // report is likewise honest: no-log has no way to detect damage,
-    // so it never declares a salvage abort and the media sweep's
-    // shadow audit stays strict.
-    RecoverySession session(*this);
-    for (SlotState& s : slots_) {
-        s.inTx = false;
-        s.resetTx();
-    }
-    rebuildHeap();
-    return session.take();
-}
-
 txn::RecoveryIndex
 NoLogRuntime::recoveryTriage()
 {
-    txn::RecoveryIndex idx;
-    idx.supportsLazy = true;
-    idx.heapPending = true;
+    // Interrupted transactions' volatile slot state must still be
+    // dropped or the restarted process cannot begin a new transaction
+    // on that slot. The *data* those transactions tore stays torn —
+    // that is the point of the baseline, and what the torture sweep
+    // detects. The report is likewise honest: no-log has no way to
+    // detect damage, so it never declares a salvage abort and the
+    // media sweep's shadow audit stays strict.
     for (SlotState& s : slots_) {
         s.inTx = false;
         s.resetTx();
     }
-    return idx;
+    return {};
 }
 
 }  // namespace cnvm::rt

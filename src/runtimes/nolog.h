@@ -30,12 +30,10 @@ class NoLogRuntime : public RuntimeBase {
               size_t n) override;
     uint64_t alloc(unsigned tid, size_t n) override;
     void dealloc(unsigned tid, uint64_t payloadOff) override;
-    txn::RecoveryReport recover() override;
 
     /**
-     * Lazy recovery mirrors recover(): there is nothing per-slot to
-     * heal (or any way to), so triage emits no entries — only the
-     * heap's (incremental) rebuild remains pending. The generic
+     * Nothing persistent to repair (and no way to), so triage emits
+     * no entries — only the heap's rebuild remains. The generic
      * triage would classify descriptor media damage as healable,
      * which no-log deliberately never claims.
      */

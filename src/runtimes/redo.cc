@@ -216,9 +216,9 @@ RedoRuntime::triageFinish()
 }
 
 void
-RedoRuntime::healOneSlot(unsigned tid, txn::SlotClass cls)
+RedoRuntime::healOneSlot(unsigned tid)
 {
-    RuntimeBase::healOneSlot(tid, cls);
+    RuntimeBase::healOneSlot(tid);
     // Protect the healed slot's sequence before it can be re-admitted
     // (idempotent: healing twice just skips twice).
     skipSeq(tid);
@@ -261,22 +261,6 @@ RedoRuntime::healCommitting(unsigned tid)
         stats::bump(stats::Counter::recoveries);
     }
     recordSlot(std::move(sr));
-}
-
-txn::RecoveryReport
-RedoRuntime::recover()
-{
-    // The lazy path's heal loop run to completion inline. healOneSlot
-    // fences each slot's sequence skip individually where the old
-    // monolithic pass batched them behind one fence — a few extra
-    // recovery-time fences buy one shared code path.
-    RecoverySession session(*this);
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        healOneSlot(tid, txn::SlotClass::clean);
-        resetVolatileSlot(tid);
-    }
-    rebuildHeap();
-    return session.take();
 }
 
 }  // namespace cnvm::rt

@@ -38,7 +38,6 @@ class RedoRuntime : public RuntimeBase {
               size_t n) override;
     /** Abort = drop the volatile write set (nothing was in place). */
     void txAbort(unsigned tid) override;
-    txn::RecoveryReport recover() override;
 
  protected:
     /** Also drops the slot's volatile write set. */
@@ -57,7 +56,7 @@ class RedoRuntime : public RuntimeBase {
      */
     void triageSlot(unsigned tid, txn::SlotClass cls) override;
     void triageFinish() override;
-    void healOneSlot(unsigned tid, txn::SlotClass cls) override;
+    void healOneSlot(unsigned tid) override;
 
     /** Committing slot: replay the redo log forward. */
     void healCommitting(unsigned tid) override;

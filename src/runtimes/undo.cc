@@ -31,14 +31,20 @@ UndoRuntime::maybeUndoLog(unsigned tid, void* dst, size_t n)
         st |= BlockMap::kLogged;
     }
     if (needLog) {
-        // The undo image must be durable before the in-place write can
-        // tear: per-entry fence required. (The zero/zerocached log
-        // writers elide this fence and recovery compensates with a
-        // declared salvage abort — see rollbackSlot.)
-        appendLogEntry(tid, pool_.offsetOf(dst), dst,
-                       static_cast<uint32_t>(n), LogFence::required);
+        // The image covers whole kBlock units, not just the stored
+        // bytes: suppression is block-granular, so a later store to
+        // the other bytes of a block marked LOGGED here is never
+        // logged itself (as in ClobberRuntime::appendClobberEntry).
+        // It must be durable before the in-place write can tear:
+        // per-entry fence required. (The zerocached writer elides
+        // this fence and recovery compensates with a declared salvage
+        // abort — see healOngoing.)
+        uint64_t lo = first * kBlock;
+        uint64_t bytes = (last + 1) * kBlock - lo;
+        appendLogEntry(tid, lo, pool_.at(lo),
+                       static_cast<uint32_t>(bytes), LogFence::required);
         stats::bump(stats::Counter::undoEntries);
-        stats::bump(stats::Counter::undoBytes, n);
+        stats::bump(stats::Counter::undoBytes, bytes);
     }
     s.noteStoreRun(first, last);
 }
@@ -85,7 +91,7 @@ UndoRuntime::txCommit(unsigned tid)
 }
 
 void
-UndoRuntime::rollbackSlot(unsigned tid)
+UndoRuntime::healOngoing(unsigned tid)
 {
     salvage::ScanStats st;
     const auto& entries = scanLog(tid, &st);
@@ -127,22 +133,6 @@ UndoRuntime::rollbackSlot(unsigned tid)
         stats::bump(stats::Counter::recoveries);
     }
     recordSlot(std::move(sr));
-}
-
-txn::RecoveryReport
-UndoRuntime::recover()
-{
-    // Stop-the-world recovery is the lazy path's heal loop run to
-    // completion inline: the same healOneSlot dispatch (vet the
-    // descriptor, roll ongoing slots back, finish idle slots' intent
-    // tables) over every slot, then the full heap rebuild.
-    RecoverySession session(*this);
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        healOneSlot(tid, txn::SlotClass::clean);
-        resetVolatileSlot(tid);
-    }
-    rebuildHeap();
-    return session.take();
 }
 
 }  // namespace cnvm::rt

@@ -32,17 +32,13 @@ class UndoRuntime : public RuntimeBase {
                size_t n) override;
     void load(unsigned tid, void* dst, const void* src,
               size_t n) override;
-    txn::RecoveryReport recover() override;
 
  protected:
     /** Undo-log [dst, dst+n) if any of it is not yet logged. */
     void maybeUndoLog(unsigned tid, void* dst, size_t n);
 
-    /** Roll back one slot (shared with AtlasRuntime::recover). */
-    void rollbackSlot(unsigned tid);
-
     /** Interrupted transaction: replay the undo log in reverse. */
-    void healOngoing(unsigned tid) override { rollbackSlot(tid); }
+    void healOngoing(unsigned tid) override;
 };
 
 }  // namespace cnvm::rt

@@ -191,12 +191,12 @@ KvService::execGroup(Worker& wk, Request** group, size_t n)
     if (n == 1) {
         single(group[0]);
     } else {
-        std::vector<apps::MutOp> ops;
-        std::vector<apps::MutResult> results(n,
-                                             apps::MutResult::error);
-        ops.reserve(n);
+        std::vector<apps::MutOp>& ops = wk.ops;
+        std::vector<apps::MutResult>& results = wk.results;
+        ops.clear();
         for (size_t i = 0; i < n; i++)
             ops.push_back(toMutOp(*group[i]));
+        results.assign(n, apps::MutResult::error);
         try {
             kv_.applyBatch(ops, results.data());
             for (size_t i = 0; i < n; i++)

@@ -175,6 +175,10 @@ class KvService {
         std::deque<Request*> queue;
         WorkerStats stats;  ///< guarded by mu
         std::thread thread;
+        /** execGroup's batch buffers, reused across groups (worker
+         *  thread only). */
+        std::vector<apps::MutOp> ops;
+        std::vector<apps::MutResult> results;
     };
 
     void workerLoop(unsigned w);

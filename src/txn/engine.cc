@@ -50,23 +50,19 @@ Engine::recover(RecoveryMode mode, bool backgroundHealer)
     lazy_.reset();
     if (mode == RecoveryMode::lazy) {
         RecoveryIndex idx = rt.recoveryTriage();
-        if (idx.supportsLazy) {
-            // Arm the incremental heap rebuild BEFORE registering the
-            // holds: beginLazyRebuild discards all volatile allocator
-            // state, holds included.
-            if (idx.heapPending)
-                rt.heap().beginLazyRebuild();
-            for (const HoldRange& h : idx.holds)
-                rt.heap().addHold(h.tid, h.off, h.bytes);
-            auto lz =
-                std::make_shared<LazyRecovery>(rt, std::move(idx));
-            lastRecovery = RecoveryReport{};
-            lastRecovery.slotsScanned = rt.pool().maxThreads();
-            lazy_ = lz;
-            if (backgroundHealer)
-                lz->startHealer();
-            return lastRecovery;
-        }
+        // Arm the incremental heap rebuild BEFORE registering the
+        // holds: beginLazyRebuild discards all volatile allocator
+        // state, holds included.
+        rt.heap().beginLazyRebuild();
+        for (const HoldRange& h : idx.holds)
+            rt.heap().addHold(h.tid, h.off, h.bytes);
+        auto lz = std::make_shared<LazyRecovery>(rt, std::move(idx));
+        lastRecovery = RecoveryReport{};
+        lastRecovery.slotsScanned = rt.pool().maxThreads();
+        lazy_ = lz;
+        if (backgroundHealer)
+            lz->startHealer();
+        return lastRecovery;
     }
     lastRecovery = rt.recover();
     return lastRecovery;

@@ -95,18 +95,18 @@ struct Engine {
     /**
      * Run recovery in `mode`.
      *
-     * Full mode (or a runtime whose triage declines lazy support) is
-     * the classic stop-the-world Runtime::recover().
+     * Full mode is the stop-the-world Runtime::recover().
      *
-     * Lazy mode runs the bounded triage pass, arms the allocator's
-     * incremental rebuild, pins triaged hold ranges, and returns
-     * immediately — transactions are admitted from that moment on.
-     * Pending slots heal on first touch (admitSlot) or from the
-     * background salvage thread (`backgroundHealer`; tests that want
-     * deterministic heal ordering pass false and drive admitSlot /
-     * finishRecovery themselves). The returned report covers only the
-     * triage pass; the cumulative report accretes in the session and
-     * lands in lastRecovery at finishRecovery().
+     * Lazy mode runs the same recovery hooks on another schedule: the
+     * bounded triage pass, then it arms the allocator's incremental
+     * rebuild, pins triaged hold ranges, and returns immediately —
+     * transactions are admitted from that moment on. Pending slots
+     * heal (healSlot, then resumeSlot) on first touch (admitSlot) or
+     * from the background salvage thread (`backgroundHealer`; tests
+     * that want deterministic heal ordering pass false and drive
+     * admitSlot / finishRecovery themselves). The returned report
+     * covers only the triage pass; the cumulative report accretes in
+     * the session and lands in lastRecovery at finishRecovery().
      */
     RecoveryReport recover(RecoveryMode mode,
                            bool backgroundHealer = true);

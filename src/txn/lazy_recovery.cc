@@ -16,8 +16,6 @@ LazyRecovery::LazyRecovery(Runtime& rt, RecoveryIndex idx)
     byTid_.assign(idx_.entries.empty() ? 0 : maxTid + 1, -1);
     for (size_t i = 0; i < idx_.entries.size(); i++)
         byTid_[idx_.entries[i].tid] = static_cast<int32_t>(i);
-    if (!idx_.heapPending)
-        heapHealed_ = true;
 }
 
 LazyRecovery::~LazyRecovery()
@@ -38,6 +36,7 @@ LazyRecovery::healEntryLocked(size_t i, std::unique_lock<std::mutex>& lk)
     try {
         std::lock_guard<std::mutex> heal(healMu_);
         r = rt_.healSlot(idx_.entries[i]);
+        r.merge(rt_.resumeSlot(idx_.entries[i]));
     } catch (...) {
         // Idempotent retry contract: the entry goes back to pending
         // so the next toucher (or a fresh triage after a re-tear)
@@ -67,7 +66,7 @@ LazyRecovery::healHeapLocked(std::unique_lock<std::mutex>& lk)
     RecoveryReport r;
     try {
         std::lock_guard<std::mutex> heal(healMu_);
-        r = rt_.healHeap();
+        r = rt_.healHeap(RecoveryMode::lazy);
     } catch (...) {
         lk.lock();
         heapHealing_ = false;
@@ -189,7 +188,7 @@ LazyRecovery::healedCount() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     uint64_t n = healedEntries_;
-    if (heapHealed_ && idx_.heapPending)
+    if (heapHealed_)
         n++;
     return n;
 }

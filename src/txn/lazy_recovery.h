@@ -5,15 +5,19 @@
  * Engine::recover(RecoveryMode::lazy) runs the runtime's bounded
  * triage pass and parks the resulting RecoveryIndex here. Foreground
  * transactions are admitted immediately; each pending slot heals
- * exactly once, either on *first touch* (a transaction wants the slot:
- * Engine::admitSlot blocks until its entry heals) or from the
- * background salvage thread. The heap's full reconciliation
- * (Runtime::healHeap) runs once, after every entry has healed.
+ * exactly once (Runtime::healSlot, then Runtime::resumeSlot — the
+ * same hooks full recovery runs), either on *first touch* (a
+ * transaction wants the slot: Engine::admitSlot blocks until its
+ * entry heals) or from the background salvage thread. The heap's
+ * full reconciliation (Runtime::healHeap) runs once, after every
+ * entry has healed. Unlike full recovery, a slot re-executes as soon
+ * as its own inputs are restored, before other pending slots restore
+ * theirs — part of the isolation lazy mode relaxes (DESIGN.md §17.5).
  *
  * Concurrency contract:
  *  - each entry carries a once-latch (kPending -> kHealing -> kHealed);
  *    losers of the latch race wait on the winner;
- *  - the actual Runtime::healSlot / healHeap calls are additionally
+ *  - the actual Runtime heal calls are additionally
  *    serialized through one heal mutex — the runtime's RecoverySession
  *    machinery (the report_ pointer) is not reentrant;
  *  - a heal that throws (the torture harness's CrashInjected) returns

@@ -3,9 +3,11 @@
  * RecoveryIndex: the output of a triage pass — the bounded "what needs
  * healing" catalogue that instant restart is built on (DESIGN.md §17).
  *
- * Full recovery is stop-the-world: no transaction runs until every
- * slot has been rolled back / re-executed and the allocator bitmap has
- * been rescanned. Lazy recovery splits that work in two:
+ * Recovery is one loop over per-slot hooks (Runtime::recover), run on
+ * one of two schedules. Full recovery is stop-the-world: no
+ * transaction runs until every slot has been rolled back / restored,
+ * the allocator bitmap rescanned, and every interrupted txfunc
+ * re-executed. Lazy recovery runs the same hooks in two steps:
  *
  *   triage  — a bounded pass over the per-slot TxDescriptors (and the
  *             allocator/quarantine metadata headers) that only
@@ -15,9 +17,10 @@
  *             after a crash: it rebuilds bit-for-bit from the same
  *             on-media descriptors, no matter how many times triage
  *             itself is interrupted.
- *   heal    — the existing salvage logic, now runnable one index entry
- *             at a time (Runtime::healSlot), on first touch or from a
- *             background salvage thread (txn::LazyRecovery).
+ *   heal    — the salvage logic, one index entry at a time
+ *             (Runtime::healSlot, then Runtime::resumeSlot), on first
+ *             touch or from a background salvage thread
+ *             (txn::LazyRecovery).
  *
  * Hold ranges: a slot that crashed with a live alloc-intent table may
  * own heap blocks whose allocation bits never retired to media. Until
@@ -70,11 +73,6 @@ struct HoldRange {
 
 /** Result of Runtime::recoveryTriage(). */
 struct RecoveryIndex {
-    /** False when the runtime has no triage/heal split (mocks, future
-     *  protocols): the engine falls back to full recovery. */
-    bool supportsLazy = false;
-    /** The allocator's free map still needs (incremental) rebuilding. */
-    bool heapPending = false;
     /** Dirty slots, ascending tid. Clean slots are omitted. */
     std::vector<IndexEntry> entries;
     /** Heap ranges to pin until the owning slot heals. */

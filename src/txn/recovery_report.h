@@ -53,9 +53,10 @@ struct RecoveryReport {
     uint64_t logEntriesApplied = 0;
     /** Corrupt log entries skipped across all slots. */
     uint64_t logEntriesDropped = 0;
-    /** Guarded reads that hit a poisoned line during this pass. */
+    /** Guarded reads that hit a poisoned line during this pass's
+     *  heal hooks (triage's read-only probes are not counted). */
     uint64_t poisonedReads = 0;
-    /** Transient-fault retries performed during this pass. */
+    /** Transient-fault retries performed during the heal hooks. */
     uint64_t transientRetries = 0;
     /** Allocator blocks quarantined by this pass. */
     uint64_t quarantinedBlocks = 0;

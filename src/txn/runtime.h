@@ -137,50 +137,62 @@ class Runtime {
     virtual void onLock(unsigned /* tid */) {}
 
     /**
-     * Repair the pool after a crash: roll back or re-execute every
-     * interrupted transaction, then rebuild volatile allocator state.
-     * Corrupt media is salvaged, not aborted on: damaged log entries
-     * are dropped with protocol-correct semantics and poisoned
-     * allocator blocks quarantined. The returned report records every
-     * salvage action (all existing callers may ignore it; a clean
-     * crash on healthy media yields a report with clean() == true).
+     * Repair the pool after a crash: roll back, roll forward or
+     * re-execute every interrupted transaction, then rebuild volatile
+     * allocator state. Corrupt media is salvaged, not aborted on:
+     * damaged log entries are dropped with protocol-correct semantics
+     * and poisoned allocator blocks quarantined. The returned report
+     * records every salvage action (a clean crash on healthy media
+     * yields a report with clean() == true).
+     *
+     * This is the one recovery loop, on its stop-the-world schedule:
+     * recoveryTriage(), healSlot() for every entry, healHeap(full),
+     * then resumeSlot() for every entry. Lazy recovery
+     * (txn::LazyRecovery) runs the same four hooks on a first-touch
+     * schedule instead. Full mode restores every slot and rebuilds
+     * the heap before anything re-executes: a re-execution that runs
+     * past its crash point can read a block another interrupted slot
+     * clobbered, and must see that block's restored pre-image.
      */
-    virtual RecoveryReport recover() = 0;
+    RecoveryReport recover();
 
     /**
-     * Bounded triage pass for lazy (instant-restart) recovery: scan
-     * the per-slot descriptors just enough to classify each slot and
-     * collect the heap ranges that must stay pinned until their slot
-     * heals. Idempotent — interrupt it anywhere and a re-run rebuilds
-     * the identical index from the same on-media state. The default
-     * (supportsLazy == false) makes Engine::recover fall back to the
-     * stop-the-world recover() above.
+     * Bounded triage pass: scan the per-slot descriptors just enough
+     * to classify each slot and collect the heap ranges that must stay
+     * pinned until their slot heals. Idempotent — interrupt it
+     * anywhere and a re-run rebuilds the identical index from the
+     * same on-media state.
      */
-    virtual RecoveryIndex recoveryTriage() { return {}; }
+    virtual RecoveryIndex recoveryTriage() = 0;
 
     /**
-     * Heal one triaged slot: the per-entry slice of recover() — roll
-     * back, roll forward, or re-execute exactly that slot, salvaging
-     * damage with the same declarations full recovery would make.
+     * Heal one triaged slot: roll it back, roll it forward, or restore
+     * its clobbered inputs, salvaging damage with declarations.
      * Re-derives the slot's state from media (the entry's class is
      * advisory), so healing a slot twice, or healing after a crash
-     * that landed mid-heal, is idempotent.
+     * that landed mid-heal, is idempotent. A slot that owes a
+     * re-execution is left ongoing on media for resumeSlot().
      */
-    virtual RecoveryReport healSlot(const IndexEntry& /* entry */)
-    {
-        return {};
-    }
+    virtual RecoveryReport healSlot(const IndexEntry& entry) = 0;
 
     /**
-     * Final heap reconciliation for lazy recovery: the full allocator
-     * rebuild (quarantine audit included), run once after every index
-     * entry has healed. Safe to run while foreground transactions are
-     * in flight — live reservations are preserved.
+     * Heap reconciliation: the full allocator rebuild (quarantine
+     * audit included), run once after every entry has healed. In lazy
+     * mode it runs while foreground transactions are in flight, and
+     * their live reservations and holds are preserved.
      */
-    virtual RecoveryReport healHeap() { return {}; }
+    virtual RecoveryReport healHeap(RecoveryMode mode) = 0;
 
     /**
-     * True while recover() is re-executing an interrupted txfunc
+     * Finish a healed slot that is still ongoing on media by
+     * re-executing its txfunc (recovery-via-resumption runtimes).
+     * Roll-back and roll-forward protocols finish inside healSlot and
+     * return an empty report here.
+     */
+    virtual RecoveryReport resumeSlot(const IndexEntry& entry) = 0;
+
+    /**
+     * True while recovery is re-executing an interrupted txfunc
      * (recovery-via-resumption runtimes only). Volatile out-pointer
      * arguments baked into the v_log point into stack frames of the
      * crashed process; txfuncs must not dereference them when this is

@@ -236,6 +236,85 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/**
+ * Two 4-byte fields that share one 8-byte block, each incremented by
+ * its own store. Block-granular suppression must not leave the second
+ * store unlogged: a roll-back restores both fields or neither.
+ */
+const txn::FuncId kSplitBlockIncr = txn::registerTxFunc(
+    "test_split_block_incr", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+        auto* half = reinterpret_cast<uint32_t*>(&root->pad[0]);
+        for (int i = 0; i < 2; i++) {
+            uint32_t v;
+            tx.ldBytes(&v, &half[i], sizeof(v));
+            v++;
+            tx.stBytes(&half[i], &v, sizeof(v));
+        }
+    });
+
+class SplitBlockSweep : public ::testing::TestWithParam<CrashCase> {};
+
+/**
+ * Crash kSplitBlockIncr at every persistency event: after recovery
+ * the two fields are equal, and hold the committed count or one more.
+ */
+TEST_P(SplitBlockSweep, BothFieldsRollBackTogether)
+{
+    auto [kind, mode] = GetParam();
+    Harness h(kind);
+    CrashScheduler sched(*h.pool);
+    auto eng = h.engine();
+    const auto* half =
+        reinterpret_cast<const uint32_t*>(&h.root().pad[0]);
+
+    uint32_t committed = 0;
+    bool sawCrash = false;
+    int quietInARow = 0;
+    for (uint64_t k = 1; quietInARow < 2 && k < 1000; k++) {
+        sched.arm(k);
+        bool crashed = false;
+        try {
+            txn::run(eng, kSplitBlockIncr, h.rootPtr().raw());
+        } catch (const nvm::CrashInjected&) {
+            crashed = true;
+            sawCrash = true;
+        }
+        sched.disarm();
+        if (crashed) {
+            quietInARow = 0;
+            if (mode == CrashMode::allLost)
+                h.pool->cache().crashAllLost();
+            else
+                h.pool->simulateCrash(77 + k);
+            h.runtime->recover();
+            ASSERT_TRUE(half[0] == committed || half[0] == committed + 1)
+                << "crash point " << k;
+        } else {
+            quietInARow++;
+            ASSERT_EQ(half[0], committed + 1) << "crash point " << k;
+        }
+        ASSERT_EQ(half[1], half[0]) << "crash point " << k;
+        committed = half[0];
+    }
+    EXPECT_TRUE(sawCrash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UndoFamily, SplitBlockSweep,
+    ::testing::Values(
+        CrashCase{RuntimeKind::undo, CrashMode::allLost},
+        CrashCase{RuntimeKind::undo, CrashMode::randomTear},
+        CrashCase{RuntimeKind::atlas, CrashMode::allLost},
+        CrashCase{RuntimeKind::atlas, CrashMode::randomTear}),
+    [](const auto& info) {
+        std::string name =
+            info.param.kind == RuntimeKind::undo ? "pmdk" : "atlas";
+        name += info.param.mode == CrashMode::allLost ? "_alllost"
+                                                      : "_tear";
+        return name;
+    });
+
 /** Clobber re-execution must observe the *restored* inputs. */
 TEST(ClobberRecovery, ReexecutionSeesRestoredInputs)
 {

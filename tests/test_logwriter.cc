@@ -3,7 +3,7 @@
  * Pluggable log-writer tests (DESIGN.md §15).
  *
  * Three contracts under test, each across the whole writer matrix
- * (baseline / zero / zerocached):
+ * (baseline / zerocached):
  *
  *  - Overflow is a transaction-level failure, not a process panic:
  *    a transaction that outgrows its per-thread log area throws
@@ -14,9 +14,9 @@
  *    tears: commit paths seal the staged log before their data fence,
  *    so crashing any protocol at any persistency event and reverting
  *    every volatile line recovers to exactly the pre- or post-image —
- *    with the eliding writers allowed (and, mid-transaction, expected)
- *    to *declare* their best-effort roll-back while the baseline
- *    writer never declares on a plain tear.
+ *    with the eliding zerocached writer allowed (and, mid-transaction,
+ *    expected) to *declare* its best-effort roll-back while the
+ *    baseline writer never declares on a plain tear.
  *
  *  - Triage: a half-flushed staging window at the log tail is a torn
  *    tail (declared with the zero-fence note, no corruption claim),
@@ -47,7 +47,6 @@ const RuntimeKind kAllKinds[] = {RuntimeKind::undo, RuntimeKind::clobber,
                                  RuntimeKind::redo, RuntimeKind::atlas,
                                  RuntimeKind::ido};
 const LogWriterKind kAllWriters[] = {LogWriterKind::baseline,
-                                     LogWriterKind::zero,
                                      LogWriterKind::zerocached};
 
 constexpr uint64_t kRegionWords = 8;
@@ -106,6 +105,23 @@ const txn::FuncId kLwMulti = txn::registerTxFunc(
         }
     });
 
+/** kLwMulti over the first `words` words of the region. */
+const txn::FuncId kLwWide = txn::registerTxFunc(
+    "lwtest_wide", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+        auto n = a.get<uint64_t>();
+        uint64_t off = tx.ld(root->sum);
+        uint64_t c = tx.ld(root->counter);
+        tx.st(root->counter, c + 1);
+        auto* words = static_cast<uint64_t*>(tx.pool().at(off));
+        for (uint64_t i = 0; i < n; i++) {
+            uint64_t v;
+            tx.ldBytes(&v, &words[i], sizeof(v));
+            v = c + 1;
+            tx.stBytes(&words[i], &v, sizeof(v));
+        }
+    });
+
 void
 prepRegion(Harness& h, uint64_t bytes)
 {
@@ -118,15 +134,15 @@ TEST(LogWriterTest, NameParsing)
     LogWriterKind k = LogWriterKind::baseline;
     EXPECT_TRUE(rt::logWriterKindFromName("baseline", &k));
     EXPECT_EQ(k, LogWriterKind::baseline);
-    EXPECT_TRUE(rt::logWriterKindFromName("zero", &k));
-    EXPECT_EQ(k, LogWriterKind::zero);
     EXPECT_TRUE(rt::logWriterKindFromName("zerocached", &k));
     EXPECT_EQ(k, LogWriterKind::zerocached);
     EXPECT_TRUE(rt::logWriterKindFromName("zero-cached", &k));
     EXPECT_EQ(k, LogWriterKind::zerocached);
-    k = LogWriterKind::zero;
     EXPECT_FALSE(rt::logWriterKindFromName("bogus", &k));
-    EXPECT_EQ(k, LogWriterKind::zero);  // untouched on failure
+    EXPECT_EQ(k, LogWriterKind::zerocached);  // untouched on failure
+    // The deleted `zero` writer's name is unknown like any other.
+    EXPECT_FALSE(rt::logWriterKindFromName("zero", &k));
+    EXPECT_EQ(k, LogWriterKind::zerocached);
 
     for (auto w : kAllWriters) {
         LogWriterKind back = LogWriterKind::baseline;
@@ -138,6 +154,8 @@ TEST(LogWriterTest, NameParsing)
     setenv("CNVM_LOG_WRITER", "zerocached", 1);
     EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::zerocached);
     setenv("CNVM_LOG_WRITER", "no-such-engine", 1);
+    EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::baseline);
+    setenv("CNVM_LOG_WRITER", "zero", 1);
     EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::baseline);
     unsetenv("CNVM_LOG_WRITER");
     EXPECT_EQ(rt::logWriterKindFromEnv(), LogWriterKind::baseline);
@@ -187,7 +205,7 @@ TEST(LogWriterTest, OverflowAbortsOnlyTheTransaction)
  * Crash kLwMulti at every persistency event under an allLost tear:
  * recovery must land on exactly the pre- or post-image for every
  * writer. The baseline writer never declares salvage on a plain tear;
- * the eliding writers may (their mid-transaction roll-back is
+ * the eliding zerocached writer may (its mid-transaction roll-back is
  * best-effort by contract), but the recovered *state* is the same.
  */
 TEST(LogWriterTest, AllOrNothingAtEveryEventAcrossWriters)
@@ -247,7 +265,7 @@ TEST(LogWriterTest, AllOrNothingAtEveryEventAcrossWriters)
                 checkImage(committed);
             }
             EXPECT_GT(committed, 2u);
-            // The eliding writers must have hit at least one
+            // The eliding writer must have hit at least one
             // mid-transaction crash that they declared — except redo,
             // which buffers in-place writes and so never needs to:
             // losing unfenced redo entries before the commit record
@@ -267,46 +285,43 @@ TEST(LogWriterTest, AllOrNothingAtEveryEventAcrossWriters)
  */
 TEST(LogWriterTest, TornStagingTailDeclaresZeroFenceNotCorruption)
 {
-    for (auto writer :
-         {LogWriterKind::zero, LogWriterKind::zerocached}) {
-        SCOPED_TRACE(rt::logWriterName(writer));
-        Harness h(RuntimeKind::undo);
-        ASSERT_TRUE(rt::selectLogWriter(*h.runtime, writer));
-        prepRegion(h, kRegionWords * 8);
-        auto eng = h.engine();
-        txn::run(eng, kLwMulti, h.rootPtr().raw());
+    Harness h(RuntimeKind::undo);
+    ASSERT_TRUE(
+        rt::selectLogWriter(*h.runtime, LogWriterKind::zerocached));
+    prepRegion(h, kRegionWords * 8);
+    auto eng = h.engine();
+    txn::run(eng, kLwMulti, h.rootPtr().raw());
 
-        // Event 20 lands mid-transaction, past several appends (the
-        // transaction stages 9 entries and generates far more events).
-        CrashScheduler sched(*h.pool);
-        sched.arm(20);
-        bool crashed = false;
-        try {
-            txn::run(eng, kLwMulti, h.rootPtr().raw());
-        } catch (const nvm::CrashInjected&) {
-            crashed = true;
-        }
-        sched.disarm();
-        ASSERT_TRUE(crashed);
-        h.pool->simulateCrashAllLost();
-        auto rep = h.runtime->recover();
-        ASSERT_GE(rep.salvageAborted, 1u) << rep.toString();
-        EXPECT_EQ(rep.poisonedReads, 0u);
-        bool sawNote = false;
-        for (const auto& sr : rep.slots) {
-            if (sr.action != txn::SlotAction::salvageAborted)
-                continue;
-            sawNote = true;
-            EXPECT_NE(sr.note.find("zero-fence"), std::string::npos)
-                << sr.note;
-            EXPECT_EQ(sr.note.find("corrupt"), std::string::npos)
-                << sr.note;
-            EXPECT_EQ(sr.note.find("poison"), std::string::npos)
-                << sr.note;
-        }
-        EXPECT_TRUE(sawNote);
-        EXPECT_EQ(h.root().counter, 1u);
+    // Event 20 lands mid-transaction, past several appends (the
+    // transaction stages 9 entries and generates far more events).
+    CrashScheduler sched(*h.pool);
+    sched.arm(20);
+    bool crashed = false;
+    try {
+        txn::run(eng, kLwMulti, h.rootPtr().raw());
+    } catch (const nvm::CrashInjected&) {
+        crashed = true;
     }
+    sched.disarm();
+    ASSERT_TRUE(crashed);
+    h.pool->simulateCrashAllLost();
+    auto rep = h.runtime->recover();
+    ASSERT_GE(rep.salvageAborted, 1u) << rep.toString();
+    EXPECT_EQ(rep.poisonedReads, 0u);
+    bool sawNote = false;
+    for (const auto& sr : rep.slots) {
+        if (sr.action != txn::SlotAction::salvageAborted)
+            continue;
+        sawNote = true;
+        EXPECT_NE(sr.note.find("zero-fence"), std::string::npos)
+            << sr.note;
+        EXPECT_EQ(sr.note.find("corrupt"), std::string::npos)
+            << sr.note;
+        EXPECT_EQ(sr.note.find("poison"), std::string::npos)
+            << sr.note;
+    }
+    EXPECT_TRUE(sawNote);
+    EXPECT_EQ(h.root().counter, 1u);
 }
 
 /**
@@ -359,36 +374,57 @@ TEST(LogWriterTest, BitFlipInDurableEntryTriagesAsCorruption)
     EXPECT_EQ(h.root().counter, 1u);
 }
 
-/** CNVM_LOG_STAGE_LINES=1 shrinks the window to one line; semantics
- *  (commit, crash, recover) are unchanged. */
-TEST(LogWriterTest, SingleLineStagingWindow)
+/**
+ * The zerocached writer stages entries in a 4-line window. Crash a
+ * transaction whose undo log spans several windows at every
+ * persistency event, so also mid-window, with part of the log copied
+ * out and the rest still staged: recovery lands on exactly the pre- or
+ * post-image.
+ */
+TEST(LogWriterTest, MultiWindowStagingCrashesMidWindow)
 {
-    setenv("CNVM_LOG_STAGE_LINES", "1", 1);
+    // 48 RMW words + the counter: 49 undo entries of 32 bytes, about
+    // six 256-byte staging windows.
+    constexpr uint64_t kWords = 48;
     Harness h(RuntimeKind::undo);
-    // selectLogWriter constructs a fresh writer, which re-reads the
-    // staging knob.
     ASSERT_TRUE(
         rt::selectLogWriter(*h.runtime, LogWriterKind::zerocached));
-    unsetenv("CNVM_LOG_STAGE_LINES");
-    prepRegion(h, kRegionWords * 8);
+    prepRegion(h, kWords * 8);
+    const auto* words =
+        static_cast<const uint64_t*>(h.pool->at(h.root().sum));
     auto eng = h.engine();
-    for (int i = 0; i < 3; i++)
-        txn::run(eng, kLwMulti, h.rootPtr().raw());
-    ASSERT_EQ(h.root().counter, 3u);
+    txn::run(eng, kLwWide, h.rootPtr().raw(), kWords);
+    ASSERT_EQ(h.root().counter, 1u);
 
     CrashScheduler sched(*h.pool);
-    sched.arm(15);
-    try {
-        txn::run(eng, kLwMulti, h.rootPtr().raw());
-    } catch (const nvm::CrashInjected&) {
+    uint64_t committed = 1;
+    uint64_t declared = 0;
+    bool ranThrough = false;
+    for (uint64_t k = 1; !ranThrough && k < 2000; k++) {
+        sched.arm(k);
+        bool crashed = false;
+        try {
+            txn::run(eng, kLwWide, h.rootPtr().raw(), kWords);
+        } catch (const nvm::CrashInjected&) {
+            crashed = true;
+        }
+        sched.disarm();
+        if (!crashed) {
+            ASSERT_EQ(h.root().counter, committed + 1);
+            ranThrough = true;
+            continue;
+        }
+        h.pool->simulateCrashAllLost();
+        declared += h.runtime->recover().salvageAborted;
+        uint64_t c = h.root().counter;
+        ASSERT_TRUE(c == committed || c == committed + 1)
+            << "counter " << c << " at event " << k;
+        for (uint64_t i = 0; i < kWords; i++)
+            ASSERT_EQ(words[i], c) << "word " << i << " at event " << k;
+        committed = c;
     }
-    sched.disarm();
-    h.pool->simulateCrashAllLost();
-    h.runtime->recover();
-    uint64_t c = h.root().counter;
-    EXPECT_TRUE(c == 3u || c == 4u);
-    txn::run(eng, kLwMulti, h.rootPtr().raw());
-    EXPECT_EQ(h.root().counter, c + 1);
+    EXPECT_TRUE(ranThrough);
+    EXPECT_GT(declared, 0u);
 }
 
 /**

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "alloc/pm_allocator.h"
 #include "nvm/fault_model.h"
@@ -372,9 +373,11 @@ TEST(IntentSalvage, PoisonedIntentTableIsDeclaredLost)
 }
 
 // ---------------------------------------------------------------
-// Instant restart: the triage / heal split behind lazy recovery.
-// Every protocol's full recover() is now triage + healSlot per slot
-// + healHeap; these tests pin the pieces individually.
+// Instant restart: the hooks behind both recovery schedules.
+// Runtime::recover() is triage, healSlot for every entry, healHeap,
+// then resumeSlot for every entry; lazy recovery runs healSlot and
+// resumeSlot per entry on first touch. These tests pin the pieces
+// individually.
 // ---------------------------------------------------------------
 
 /**
@@ -428,7 +431,6 @@ TEST(LazyTriage, TriageIsStableAndLeavesDirtySlotsUntouched)
         rt::TxDescriptor before = desc0(h);
         txn::RecoveryIndex a = h.runtime->recoveryTriage();
         txn::RecoveryIndex b = h.runtime->recoveryTriage();
-        EXPECT_TRUE(a.supportsLazy);
         ASSERT_EQ(a.entries.size(), b.entries.size());
         for (size_t i = 0; i < a.entries.size(); i++) {
             EXPECT_EQ(a.entries[i].tid, b.entries[i].tid);
@@ -449,10 +451,11 @@ TEST(LazyTriage, TriageIsStableAndLeavesDirtySlotsUntouched)
 }
 
 /**
- * healSlot is the per-entry heal step: applying it to every triaged
- * entry plus one healHeap must equal a full recover(), and applying
- * it twice must change nothing (the heal re-derives the slot's class
- * from the media, and a healed slot is simply clean).
+ * healSlot + resumeSlot are the per-entry heal step: applying them to
+ * every triaged entry plus one healHeap must equal a full recover(),
+ * and applying them twice must change nothing (the heal re-derives
+ * the slot's class from the media, and a healed slot is simply
+ * clean).
  */
 TEST(LazyHeal, PerEntryHealsAreCompleteAndIdempotent)
 {
@@ -467,18 +470,22 @@ TEST(LazyHeal, PerEntryHealsAreCompleteAndIdempotent)
 
         txn::RecoveryIndex idx = h.runtime->recoveryTriage();
         ASSERT_FALSE(idx.entries.empty());
-        for (const txn::IndexEntry& e : idx.entries)
+        for (const txn::IndexEntry& e : idx.entries) {
             h.runtime->healSlot(e);
+            h.runtime->resumeSlot(e);
+        }
         size_t len = h.listLen();
         uint64_t sum = h.root().sum;
         EXPECT_TRUE(len == 4 || len == 5);
         EXPECT_EQ(sum, h.listSum());
         // Healing an already-healed entry is a no-op.
-        for (const txn::IndexEntry& e : idx.entries)
+        for (const txn::IndexEntry& e : idx.entries) {
             h.runtime->healSlot(e);
+            h.runtime->resumeSlot(e);
+        }
         EXPECT_EQ(h.listLen(), len);
         EXPECT_EQ(h.root().sum, sum);
-        h.runtime->healHeap();
+        h.runtime->healHeap(txn::RecoveryMode::lazy);
 
         EXPECT_TRUE(h.runtime->recover().clean());
         txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{999});
@@ -574,6 +581,151 @@ TEST(LazyHolds, IntentHoldsPinnedUntilEntryHeals)
     EXPECT_TRUE(h.runtime->recover().clean());
     txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{2});
     EXPECT_EQ(h.listLen(), 2u);
+}
+
+// ---------------------------------------------------------------
+// One recovery loop, two schedules.
+// ---------------------------------------------------------------
+
+/** sum = counter * 100: reads the block kIncrCounter clobbers. */
+const txn::FuncId kScaleCounter = txn::registerTxFunc(
+    "salvage_scale_counter", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+        tx.st(root->sum, tx.ld(root->counter) * 100);
+    });
+
+/**
+ * Full recovery restores every interrupted slot before it re-executes
+ * any. Slot 1 crashed after clobbering the counter in place; slot 0
+ * crashed before it read the counter. Slot 0's re-execution must read
+ * slot 1's restored pre-image, not slot 1's uncommitted value — which
+ * it would if full mode healed and resumed slot by slot.
+ */
+TEST(RecoveryOrder, FullRestoresEverySlotBeforeReexecuting)
+{
+    Harness h(RuntimeKind::clobber);
+    auto eng = h.engine();
+    for (int i = 0; i < 3; i++)
+        txn::run(eng, kIncrCounter, h.rootPtr().raw());
+    ASSERT_EQ(h.root().counter, 3u);
+
+    txn::ArgWriter w;
+    txn::writeArg(w, h.rootPtr().raw());
+    txn::Runtime& rtm = *h.runtime;
+    // Slot 1: counter++ has clobbered the counter, durably.
+    rtm.txBegin(1, kIncrCounter, w.bytes());
+    txn::Tx tx1(rtm, 1);
+    tx1.st(h.root().counter, tx1.ld(h.root().counter) + 1);
+    h.pool->persist(&h.root().counter, sizeof(uint64_t));
+    // Slot 0: begun (v_log durable), but its body never ran.
+    rtm.txBegin(0, kScaleCounter, w.bytes());
+    txn::Tx tx0(rtm, 0);
+    tx0.st(h.root().sum, uint64_t{7});
+    h.pool->simulateCrashAllLost();
+
+    txn::RecoveryReport rep = rtm.recover();
+    EXPECT_TRUE(rep.clean()) << rep.toString();
+    uint64_t reexecuted = 0;
+    for (const auto& sr : rep.slots)
+        reexecuted += sr.action == txn::SlotAction::reexecuted ? 1 : 0;
+    EXPECT_EQ(reexecuted, 2u) << rep.toString();
+    EXPECT_EQ(h.root().sum, 300u);
+    EXPECT_EQ(h.root().counter, 4u);
+}
+
+/** What one crash-and-recover run left behind. */
+struct Recovered {
+    bool crashed = false;
+    std::vector<uint64_t> values;  ///< the list, head first
+    uint64_t sum = 0;
+    uint64_t counter = 0;
+    txn::RecoveryReport report;
+};
+
+/**
+ * Push 4 nodes, crash a fifth at event `k`, tear with a seed derived
+ * from `k`, and recover in `mode` (lazy: triage, first touch of every
+ * slot, finishRecovery). `crashed` is false when the push ran past
+ * event `k`.
+ */
+Recovered
+crashAndRecover(RuntimeKind kind, uint64_t k, txn::RecoveryMode mode)
+{
+    Harness h(kind, rt::ClobberPolicy::refined, 8ULL << 20);
+    auto eng = h.engine();
+    for (uint64_t v = 1; v <= 4; v++)
+        txn::run(eng, kPushNode, h.rootPtr().raw(), v);
+    Recovered r;
+    {
+        CrashScheduler sched(*h.pool);
+        sched.arm(k);
+        try {
+            txn::run(eng, kPushNode, h.rootPtr().raw(), uint64_t{50});
+        } catch (const nvm::CrashInjected&) {
+            r.crashed = true;
+        }
+    }
+    if (!r.crashed)
+        return r;
+    h.pool->simulateCrash(500 + k);
+    if (mode == txn::RecoveryMode::full) {
+        r.report = h.runtime->recover();
+    } else {
+        eng.recover(txn::RecoveryMode::lazy, /* backgroundHealer */ false);
+        for (unsigned t = 0; t < h.pool->maxThreads(); t++)
+            eng.admitSlot(t);
+        r.report = eng.finishRecovery();
+    }
+    for (auto n = h.root().head; !n.isNull(); n = n->next)
+        r.values.push_back(n->value);
+    r.sum = h.root().sum;
+    r.counter = h.root().counter;
+    return r;
+}
+
+/**
+ * Full and lazy recovery are two schedules of one heal code: the same
+ * torn crash, recovered once by recover() and once lazily, yields the
+ * same structure and the same report, at every crash index.
+ */
+TEST(RecoveryOrder, FullAndLazyAgreeAtEveryCrashIndex)
+{
+    for (RuntimeKind kind :
+         {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber,
+          RuntimeKind::atlas, RuntimeKind::ido}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        uint64_t crashes = 0;
+        for (uint64_t k = 1; k < 1500; k++) {
+            SCOPED_TRACE(k);
+            Recovered a = crashAndRecover(kind, k, txn::RecoveryMode::full);
+            Recovered b = crashAndRecover(kind, k, txn::RecoveryMode::lazy);
+            ASSERT_EQ(a.crashed, b.crashed);
+            if (!a.crashed)
+                break;
+            crashes++;
+            ASSERT_EQ(a.values, b.values);
+            EXPECT_EQ(a.sum, b.sum);
+            EXPECT_EQ(a.counter, b.counter);
+            const txn::RecoveryReport& x = a.report;
+            const txn::RecoveryReport& y = b.report;
+            EXPECT_EQ(x.slotsScanned, y.slotsScanned);
+            EXPECT_EQ(x.logEntriesApplied, y.logEntriesApplied);
+            EXPECT_EQ(x.logEntriesDropped, y.logEntriesDropped);
+            EXPECT_EQ(x.poisonedReads, y.poisonedReads);
+            EXPECT_EQ(x.transientRetries, y.transientRetries);
+            EXPECT_EQ(x.quarantinedBlocks, y.quarantinedBlocks);
+            EXPECT_EQ(x.quarantinedBytes, y.quarantinedBytes);
+            EXPECT_EQ(x.intentTablesLost, y.intentTablesLost);
+            EXPECT_EQ(x.salvageAborted, y.salvageAborted);
+            ASSERT_EQ(x.slots.size(), y.slots.size());
+            for (size_t i = 0; i < x.slots.size(); i++) {
+                EXPECT_EQ(x.slots[i].tid, y.slots[i].tid);
+                EXPECT_EQ(x.slots[i].action, y.slots[i].action);
+                EXPECT_EQ(x.slots[i].note, y.slots[i].note);
+            }
+        }
+        EXPECT_GT(crashes, 0u);
+    }
 }
 
 // ---------------------------------------------------------------
