@@ -17,10 +17,10 @@
  *              is the O(entries)-fences worst case the zero-fence
  *              zerocached writer targets.
  *
- * For threads=1 the rows carry fences/tx, entries/tx and flushes/tx
- * from the stats counters — the fence-elision and flush-coalescing
- * evidence (zerocached: ~4 entries per coalesced flush at 24-byte
- * headers + 8-byte payloads in 64-byte lines).
+ * Every row carries fences/tx, entries/tx and flushes/tx from the
+ * stats counters (all threads' transactions) — the fence-elision and
+ * flush-coalescing evidence (zerocached: ~4 entries per coalesced
+ * flush at 24-byte headers + 8-byte payloads in 64-byte lines).
  *
  * Each series runs CNVM_REPS times (default 3) and reports the best
  * rep. The reps are interleaved across the whole matrix (rep 1 of
@@ -61,9 +61,11 @@ struct Row {
     std::string system;
     unsigned threads;
     double opsPerSec = 0;
-    double fencesPerTx = 0;   // threads==1 only, else 0
-    double entriesPerTx = 0;  // threads==1 only, else 0
-    double flushesPerTx = 0;  // threads==1 only, else 0
+    // Per-tx counters: the run's stats::aggregate() delta (exited
+    // threads included) over the transactions of all threads.
+    double fencesPerTx = 0;
+    double entriesPerTx = 0;
+    double flushesPerTx = 0;
 };
 
 double
@@ -210,13 +212,10 @@ runSeries(txn::RuntimeKind kind, rt::LogWriterKind writer,
     r.threads = threads;
     r.opsPerSec = static_cast<double>(txPerThread) * opsPerTx *
                   threads / (secs > 0 ? secs : 1e-9);
-    if (threads == 1) {
-        double txs = static_cast<double>(txPerThread);
-        r.fencesPerTx = delta[stats::Counter::fences] / txs;
-        r.entriesPerTx =
-            static_cast<double>(protoEntries(delta)) / txs;
-        r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
-    }
+    double txs = static_cast<double>(txPerThread) * threads;
+    r.fencesPerTx = delta[stats::Counter::fences] / txs;
+    r.entriesPerTx = static_cast<double>(protoEntries(delta)) / txs;
+    r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
     return r;
 }
 

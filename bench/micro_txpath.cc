@@ -23,8 +23,9 @@
  *   e2e_hashmap end-to-end hashmap YCSB-load-style inserts through
  *              txn::run (fig6-style anchor, wall clock).
  *
- * For threads=1 the JSON rows also carry fences/tx and log entries/tx
- * from the stats counters — the fence-elision evidence.
+ * Every JSON row also carries fences/tx and log entries/tx from the
+ * stats counters (all threads' transactions) — the fence-elision
+ * evidence.
  *
  * Scale knobs: CNVM_OPS (ops per series per thread), CNVM_MAXTHREADS,
  * CNVM_POOL_MB, CNVM_SMOKE. Output: argv[1] (default
@@ -73,10 +74,12 @@ struct Row {
     std::string system;
     unsigned threads;
     double opsPerSec = 0;
-    double fencesPerTx = 0;   // threads==1 only, else 0
-    double entriesPerTx = 0;  // threads==1 only, else 0
-    double flushesPerTx = 0;  // log-writer flushes (threads==1 only)
-    double logBytesPerTx = 0; // appended log bytes (threads==1 only)
+    // Per-tx counters: the run's stats::aggregate() delta (exited
+    // threads included) over the transactions of all threads.
+    double fencesPerTx = 0;
+    double entriesPerTx = 0;
+    double flushesPerTx = 0;  // log-writer flushes
+    double logBytesPerTx = 0; // appended log bytes
 };
 
 double
@@ -260,13 +263,11 @@ runMicroSeries(txn::RuntimeKind kind, const std::string& op,
     r.threads = threads;
     r.opsPerSec = static_cast<double>(txPerThread) * opsPerTx *
                   threads / (secs > 0 ? secs : 1e-9);
-    if (threads == 1) {
-        double txs = static_cast<double>(txPerThread);
-        r.fencesPerTx = delta[stats::Counter::fences] / txs;
-        r.entriesPerTx = static_cast<double>(logEntries(delta)) / txs;
-        r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
-        r.logBytesPerTx = delta[stats::Counter::logBytes] / txs;
-    }
+    double txs = static_cast<double>(txPerThread) * threads;
+    r.fencesPerTx = delta[stats::Counter::fences] / txs;
+    r.entriesPerTx = static_cast<double>(logEntries(delta)) / txs;
+    r.flushesPerTx = delta[stats::Counter::logFlushes] / txs;
+    r.logBytesPerTx = delta[stats::Counter::logBytes] / txs;
     return r;
 }
 
@@ -277,7 +278,7 @@ runE2eHashmap(txn::RuntimeKind kind, size_t inserts)
     auto eng = env.engine();
     auto kv = ds::makeKv("hashmap", eng);
     std::string val(64, 'v');
-    char key[24];
+    char key[32];
     stats::resetAll();
     auto before = stats::aggregate();
     auto t0 = Clock::now();

@@ -1,6 +1,7 @@
 #include "alloc/pm_allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -64,26 +65,18 @@ PmAllocator::PmAllocator(nvm::Pool& pool, bool deferRebuild)
 {
     auto* h = static_cast<AllocHeader*>(pool_.at(pool_.heapOff()));
     if (h->magic != kMagic) {
-        // Format a fresh heap region.
+        // Format a fresh heap region. The bitmap and quarantine table
+        // must be durable before the header declares the heap
+        // formatted. A fresh pool is already zero, so zeroRange writes
+        // only what a recycled (or faulty) region needs.
         AllocHeader newHdr = expectedHeader();
-        // Zero the bitmap and quarantine table first (a re-created
-        // pool file is already zero, but a recycled region may not
-        // be).
-        std::vector<uint8_t> zeros(4096, 0);
-        for (uint64_t off = newHdr.bitmapOff;
-             off < newHdr.bitmapOff + newHdr.bitmapBytes;
-             off += zeros.size()) {
-            uint64_t n = std::min<uint64_t>(
-                zeros.size(),
-                newHdr.bitmapOff + newHdr.bitmapBytes - off);
-            pool_.writeAt(off, zeros.data(), n);
-        }
+        pool_.zeroRange(newHdr.bitmapOff, newHdr.bitmapBytes);
         QuarantineTable qt{};
         qt.checksum = quarantineChecksum(0, qt.entries);
         pool_.writeAt(newHdr.quarOff, &qt, sizeof(qt));
-        pool_.writeAt(pool_.heapOff(), &newHdr, sizeof(newHdr));
         pool_.flush(pool_.at(newHdr.quarOff), sizeof(qt));
-        pool_.flush(pool_.at(newHdr.bitmapOff), newHdr.bitmapBytes);
+        pool_.fence();
+        pool_.writeAt(pool_.heapOff(), &newHdr, sizeof(newHdr));
         pool_.persist(h, sizeof(*h));
     }
     if (deferRebuild)
@@ -236,6 +229,7 @@ PmAllocator::reserve(size_t payload)
         }
         if (off != 0)
             reserved_[off] = need;
+        mapFresh_ = false;
     }
     if (off == 0)
         fatal("persistent heap exhausted");
@@ -259,24 +253,31 @@ void
 PmAllocator::setBits(uint64_t bOff, uint64_t granules, bool value,
                      bool flushBits)
 {
+    mapFresh_ = false;
     const AllocHeader& h = hdr();
-    uint64_t firstGranule = (bOff - h.dataOff) / kGranule;
-    uint64_t firstByte = h.bitmapOff + firstGranule / 8;
-    uint64_t lastByte = h.bitmapOff + (firstGranule + granules - 1) / 8;
-    // Read-modify-write whole bytes under the allocator lock.
-    std::vector<uint8_t> buf(lastByte - firstByte + 1);
-    std::memcpy(buf.data(), pool_.at(firstByte), buf.size());
-    for (uint64_t g = 0; g < granules; g++) {
-        uint64_t bit = firstGranule + g;
-        uint64_t byte = (h.bitmapOff + bit / 8) - firstByte;
-        if (value)
-            buf[byte] |= static_cast<uint8_t>(1u << (bit % 8));
-        else
-            buf[byte] &= static_cast<uint8_t>(~(1u << (bit % 8)));
+    uint64_t g = (bOff - h.dataOff) / kGranule;
+    uint64_t endG = g + granules;
+    // Read-modify-write whole bytes under the allocator lock, one
+    // stack window at a time (a window covers 64 KiB of heap, so
+    // every block but a large root takes one write).
+    uint8_t buf[512];
+    while (g < endG) {
+        uint64_t firstByte = g / 8;
+        uint64_t nBytes =
+            std::min<uint64_t>(sizeof(buf), (endG - 1) / 8 - firstByte + 1);
+        uint64_t stopG = std::min(endG, (firstByte + nBytes) * 8);
+        std::memcpy(buf, pool_.at(h.bitmapOff + firstByte), nBytes);
+        for (; g < stopG; g++) {
+            auto bit = static_cast<uint8_t>(1u << (g % 8));
+            if (value)
+                buf[g / 8 - firstByte] |= bit;
+            else
+                buf[g / 8 - firstByte] &= static_cast<uint8_t>(~bit);
+        }
+        pool_.writeAt(h.bitmapOff + firstByte, buf, nBytes);
+        if (flushBits)
+            pool_.flush(pool_.at(h.bitmapOff + firstByte), nBytes);
     }
-    pool_.writeAt(firstByte, buf.data(), buf.size());
-    if (flushBits)
-        pool_.flush(pool_.at(firstByte), buf.size());
 }
 
 void
@@ -376,14 +377,16 @@ PmAllocator::quarantineLocked(uint64_t off, uint64_t bytes,
         stats::bump(stats::Counter::quarantinedBlocks);
         stats::bump(stats::Counter::quarantinedBytes, bytes);
     }
-    // Force the covered granules allocated so no future rebuild can
-    // hand them out. The range is clipped to the data area (a bitmap
-    // chunk's tail can administer granules past dataBytes).
-    uint64_t lo = std::max(off, hdr().dataOff);
-    uint64_t hi = std::min(off + bytes, hdr().dataOff + hdr().dataBytes);
+    // Force every granule the range overlaps allocated so no future
+    // rebuild can hand it out. The range is clipped to the data area
+    // (a bitmap chunk's tail can administer granules past dataBytes).
+    uint64_t d = hdr().dataOff;
+    uint64_t lo = std::max(off, d);
+    uint64_t hi = std::min(off + bytes, d + hdr().dataBytes);
     if (lo < hi) {
-        uint64_t granules = (hi - lo + kGranule - 1) / kGranule;
-        setBits(lo, granules, true, true);
+        uint64_t firstG = (lo - d) / kGranule;
+        uint64_t endG = (hi - d + kGranule - 1) / kGranule;
+        setBits(d + firstG * kGranule, endG - firstG, true, true);
     }
 }
 
@@ -503,11 +506,151 @@ PmAllocator::healMetaLocked(RebuildStats* st)
     }
 }
 
+uint64_t
+PmAllocator::usedBitmapBytes() const
+{
+    return (hdr().dataBytes / kGranule + 7) / 8;
+}
+
+namespace {
+
+/** Set granule bits [from, to) of a chunk's local word copy. */
+void
+setLocalBits(uint64_t* words, uint64_t from, uint64_t to)
+{
+    while (from < to) {
+        uint64_t bit = from % 64;
+        uint64_t span = std::min<uint64_t>(64 - bit, to - from);
+        words[from / 64] |=
+            span == 64 ? ~0ULL : ((uint64_t{1} << span) - 1) << bit;
+        from += span;
+    }
+}
+
+}  // namespace
+
+void
+PmAllocator::scanLocked(uint64_t end, RebuildStats* st)
+{
+    constexpr uint64_t kChunk = 64;  // bitmap bytes per guarded read
+    const AllocHeader& h = hdr();
+    uint64_t nGranules = h.dataBytes / kGranule;
+    uint64_t used = usedBitmapBytes();
+    const QuarantineTable* qt = quarTable();
+    bool wroteBits = false;
+    uint64_t runStartG = 0;
+    bool inRun = false;
+    auto closeRun = [&](uint64_t endG) {
+        insertFreeRunMaskedLocked(h.dataOff + runStartG * kGranule,
+                                  (endG - runStartG) * kGranule);
+        inRun = false;
+    };
+
+    while (scanCursor_ < end) {
+        uint64_t c = scanCursor_;
+        uint64_t n = std::min(kChunk, used - c);
+        scanCursor_ += n;
+        uint64_t firstG = c * 8;
+        uint64_t lastG = std::min(firstG + n * 8, nGranules);
+        const void* src = pool_.at(h.bitmapOff + c);
+        uint64_t words[kChunk / 8];
+        std::memset(words, 0xff, sizeof(words));
+        bool bad = pool_.isTainted(src, n);
+        if (!bad) {
+            try {
+                pool_.checkRead(src, n);
+            } catch (const nvm::MediaFaultError&) {
+                bad = true;
+            }
+        }
+        if (!bad) {
+            std::memcpy(words, src, n);
+        } else {
+            // A chunk that cannot be read (poison) or was bit-flipped
+            // (taint) cannot tell its allocated granules from its free
+            // ones: the whole 8 KiB it administers is quarantined, the
+            // chunk rewritten all-ones (which also heals the line) and
+            // none of it enters the free map.
+            uint64_t bytes = (lastG - firstG) * kGranule;
+            pool_.writeAt(h.bitmapOff + c, words, n);
+            pool_.flush(src, n);
+            wroteBits = true;
+            quarantineLocked(h.dataOff + firstG * kGranule, bytes,
+                             kQuarPoisonedBitmap);
+            st->poisonedChunks++;
+            st->quarantinedBlocks++;
+            st->quarantinedBytes += bytes;
+        }
+        // Granules past the data area and quarantined ranges read as
+        // allocated: quarantined granules never re-enter the free map,
+        // even if their persistent bits were somehow cleared since.
+        setLocalBits(words, lastG - firstG, kChunk * 8);
+        uint32_t quarCount =
+            std::min(qt->count, QuarantineTable::kCapacity);
+        for (uint32_t i = 0; i < quarCount; i++) {
+            const QuarantineEntry& e = qt->entries[i];
+            uint64_t lo = std::max(e.off, h.dataOff + firstG * kGranule);
+            uint64_t hi =
+                std::min(e.off + e.bytes, h.dataOff + lastG * kGranule);
+            if (lo < hi) {
+                setLocalBits(words, (lo - h.dataOff) / kGranule - firstG,
+                             (hi - h.dataOff + kGranule - 1) / kGranule -
+                                 firstG);
+            }
+        }
+        // Step a word (64 granules) at a time over all-allocated and
+        // all-free words; only mixed words walk their bit transitions.
+        for (uint64_t k = 0; k < kChunk / 8; k++) {
+            uint64_t w = words[k];
+            uint64_t g0 = firstG + k * 64;
+            if (w == ~0ULL) {
+                if (inRun)
+                    closeRun(g0);
+                continue;
+            }
+            if (w == 0) {
+                if (!inRun) {
+                    runStartG = g0;
+                    inRun = true;
+                }
+                continue;
+            }
+            for (unsigned bit = 0; bit < 64;) {
+                uint64_t rest = (inRun ? w : ~w) >> bit;
+                if (rest == 0)
+                    break;
+                bit += static_cast<unsigned>(std::countr_zero(rest));
+                if (inRun) {
+                    closeRun(g0 + bit);
+                } else {
+                    runStartG = g0 + bit;
+                    inRun = true;
+                }
+            }
+        }
+    }
+    // Flush the still-open free run up to the cursor: on a mostly
+    // empty pool the tail is one huge run that would otherwise only
+    // become allocatable once a lazy scan reaches the very end —
+    // turning the first post-crash reserve() into a full-bitmap scan.
+    // The continuation run of the next step coalesces with this
+    // extent in insertFreeExtentLocked, so no fragmentation survives.
+    if (inRun)
+        closeRun(std::min(scanCursor_ * 8, nGranules));
+    if (wroteBits)
+        pool_.fence();
+}
+
 RebuildStats
 PmAllocator::rebuild(bool keepSession)
 {
     RebuildStats st{};
     std::lock_guard<std::mutex> g(mu_);
+    // Nothing the scan reads changed since the last fresh-process
+    // rebuild (no bitmap write, reservation or hold, no crash or media
+    // fault): its free map is what a second scan would produce.
+    if (!keepSession && mapFresh_ && pool_.mediaEvents() == mapEvents_)
+        return st;
     free_.clear();
     bySize_.clear();
     if (!keepSession) {
@@ -518,82 +661,8 @@ PmAllocator::rebuild(bool keepSession)
     }
 
     healMetaLocked(&st);
-    const AllocHeader& h = hdr();
-    QuarantineTable* qt = quarTable();
-
-    // Guarded bitmap scan into a trusted local copy. A 64-byte chunk
-    // that cannot be read (poison) or was bit-flipped (taint) cannot
-    // distinguish its allocated granules from its free ones: the
-    // whole 8 KiB it administers is quarantined, the chunk rewritten
-    // as all-ones (which also heals the line — fresh stores make the
-    // cell trustworthy again), and none of it enters the free map.
-    uint64_t nGranules = h.dataBytes / kGranule;
-    uint64_t usedBitmapBytes = (nGranules + 7) / 8;
-    std::vector<uint8_t> bits(usedBitmapBytes, 0xff);
-    bool wroteBits = false;
-    for (uint64_t c = 0; c < usedBitmapBytes; c += 64) {
-        auto n = std::min<uint64_t>(64, usedBitmapBytes - c);
-        const void* src = pool_.at(h.bitmapOff + c);
-        bool bad = pool_.isTainted(src, n);
-        if (!bad) {
-            try {
-                pool_.checkRead(src, n);
-            } catch (const nvm::MediaFaultError&) {
-                bad = true;
-            }
-        }
-        if (!bad) {
-            std::memcpy(bits.data() + c, src, n);
-            continue;
-        }
-        st.poisonedChunks++;
-        uint64_t firstG = c * 8;
-        uint64_t lastG = std::min(firstG + n * 8, nGranules);
-        uint64_t off = h.dataOff + firstG * kGranule;
-        uint64_t bytes = (lastG - firstG) * kGranule;
-        std::vector<uint8_t> ones(n, 0xff);
-        pool_.writeAt(h.bitmapOff + c, ones.data(), n);
-        pool_.flush(src, n);
-        wroteBits = true;
-        quarantineLocked(off, bytes, kQuarPoisonedBitmap);
-        st.quarantinedBlocks++;
-        st.quarantinedBytes += bytes;
-    }
-    if (wroteBits)
-        pool_.fence();
-
-    // Quarantined ranges never re-enter the free map, even if their
-    // persistent bits were somehow cleared since (belt and braces:
-    // force them in the local copy too).
-    if (qt->count <= QuarantineTable::kCapacity) {
-        for (uint32_t i = 0; i < qt->count; i++) {
-            const QuarantineEntry& e = qt->entries[i];
-            uint64_t lo = std::max(e.off, h.dataOff);
-            uint64_t hi =
-                std::min(e.off + e.bytes, h.dataOff + h.dataBytes);
-            for (uint64_t b = lo; b < hi; b += kGranule) {
-                uint64_t gi = (b - h.dataOff) / kGranule;
-                bits[gi / 8] |= static_cast<uint8_t>(1u << (gi % 8));
-            }
-        }
-    }
-
-    uint64_t runStart = 0;
-    bool inRun = false;
-    for (uint64_t i = 0; i <= nGranules; i++) {
-        bool allocated =
-            i < nGranules &&
-            (bits[i / 8] & (1u << (i % 8))) != 0;
-        bool isFree = i < nGranules && !allocated;
-        if (isFree && !inRun) {
-            runStart = i;
-            inRun = true;
-        } else if (!isFree && inRun) {
-            insertFreeRunMaskedLocked(h.dataOff + runStart * kGranule,
-                                      (i - runStart) * kGranule);
-            inRun = false;
-        }
-    }
+    scanCursor_ = 0;
+    scanLocked(usedBitmapBytes(), &st);
 
     // A full rebuild supersedes any lazy session: fold its salvage
     // into this pass's stats and close it.
@@ -607,8 +676,9 @@ PmAllocator::rebuild(bool keepSession)
         lazyStats_ = RebuildStats{};
         lazyActive_ = false;
         lazyScanDone_ = true;
-        lazyInRun_ = false;
     }
+    mapFresh_ = !keepSession;
+    mapEvents_ = pool_.mediaEvents();
     return st;
 }
 
@@ -620,12 +690,12 @@ PmAllocator::beginLazyRebuild()
     bySize_.clear();
     reserved_.clear();
     holds_.clear();
+    mapFresh_ = false;
     lazyStats_ = RebuildStats{};
     healMetaLocked(&lazyStats_);
     lazyActive_ = true;
     lazyScanDone_ = false;
-    lazyCursor_ = 0;
-    lazyInRun_ = false;
+    scanCursor_ = 0;
 }
 
 bool
@@ -636,114 +706,29 @@ PmAllocator::lazyRebuildActive() const
 }
 
 bool
+PmAllocator::lazyStep(uint64_t chunks)
+{
+    std::lock_guard<std::mutex> g(mu_);
+    return !lazyActive_ || lazyStepLocked(chunks);
+}
+
+bool
 PmAllocator::scannedLocked(uint64_t bOff, uint64_t granules) const
 {
     if (!lazyActive_ || lazyScanDone_)
         return true;
     const AllocHeader& h = hdr();
     uint64_t lastG = (bOff - h.dataOff) / kGranule + granules - 1;
-    return lastG / 8 < lazyCursor_;
+    return lastG / 8 < scanCursor_;
 }
 
 bool
 PmAllocator::lazyStepLocked(uint64_t chunks)
 {
-    const AllocHeader& h = hdr();
-    uint64_t nGranules = h.dataBytes / kGranule;
-    uint64_t usedBitmapBytes = (nGranules + 7) / 8;
-    QuarantineTable* qt = quarTable();
-    bool wroteBits = false;
-
-    for (uint64_t step = 0;
-         step < chunks && lazyCursor_ < usedBitmapBytes; step++) {
-        uint64_t c = lazyCursor_;
-        uint64_t n = std::min<uint64_t>(64, usedBitmapBytes - c);
-        uint8_t local[64];
-        const void* src = pool_.at(h.bitmapOff + c);
-        bool bad = pool_.isTainted(src, n);
-        if (!bad) {
-            try {
-                pool_.checkRead(src, n);
-            } catch (const nvm::MediaFaultError&) {
-                bad = true;
-            }
-        }
-        uint64_t firstG = c * 8;
-        uint64_t lastG = std::min(firstG + n * 8, nGranules);
-        if (bad) {
-            // Same salvage as rebuild(): the whole chunk's granules
-            // are quarantined and the chunk rewritten all-ones.
-            lazyStats_.poisonedChunks++;
-            std::memset(local, 0xff, n);
-            pool_.writeAt(h.bitmapOff + c, local, n);
-            pool_.flush(src, n);
-            wroteBits = true;
-            quarantineLocked(h.dataOff + firstG * kGranule,
-                             (lastG - firstG) * kGranule,
-                             kQuarPoisonedBitmap);
-            lazyStats_.quarantinedBlocks++;
-            lazyStats_.quarantinedBytes += (lastG - firstG) * kGranule;
-        } else {
-            std::memcpy(local, src, n);
-        }
-        // Force quarantined granules allocated in the local copy.
-        if (qt->count <= QuarantineTable::kCapacity) {
-            for (uint32_t i = 0; i < qt->count; i++) {
-                const QuarantineEntry& e = qt->entries[i];
-                uint64_t lo = std::max(e.off, h.dataOff +
-                                                  firstG * kGranule);
-                uint64_t hi = std::min(e.off + e.bytes,
-                                       h.dataOff + lastG * kGranule);
-                for (uint64_t b = lo; b < hi; b += kGranule) {
-                    uint64_t gi = (b - h.dataOff) / kGranule;
-                    local[gi / 8 - c] |=
-                        static_cast<uint8_t>(1u << (gi % 8));
-                }
-            }
-        }
-        for (uint64_t gi = firstG; gi < lastG; gi++) {
-            bool allocated =
-                (local[gi / 8 - c] & (1u << (gi % 8))) != 0;
-            if (!allocated) {
-                if (!lazyInRun_) {
-                    lazyRunStartG_ = gi;
-                    lazyInRun_ = true;
-                }
-            } else if (lazyInRun_) {
-                insertFreeRunMaskedLocked(
-                    h.dataOff + lazyRunStartG_ * kGranule,
-                    (gi - lazyRunStartG_) * kGranule);
-                lazyInRun_ = false;
-            }
-        }
-        lazyCursor_ += n;
-    }
-    // Flush the still-open free run up to the cursor: on a mostly
-    // empty pool the tail is one huge run that would otherwise only
-    // become allocatable once the scan reaches the very end — turning
-    // the first post-crash reserve() into a full-bitmap scan. The
-    // continuation run opened by the next pull coalesces with this
-    // extent in insertFreeExtentLocked, so no fragmentation survives.
-    if (lazyInRun_ && lazyCursor_ < usedBitmapBytes) {
-        uint64_t curG = std::min(lazyCursor_ * 8, nGranules);
-        if (curG > lazyRunStartG_) {
-            insertFreeRunMaskedLocked(
-                h.dataOff + lazyRunStartG_ * kGranule,
-                (curG - lazyRunStartG_) * kGranule);
-            lazyInRun_ = false;
-        }
-    }
-    if (wroteBits)
-        pool_.fence();
-    if (lazyCursor_ >= usedBitmapBytes) {
-        if (lazyInRun_) {
-            insertFreeRunMaskedLocked(
-                h.dataOff + lazyRunStartG_ * kGranule,
-                (nGranules - lazyRunStartG_) * kGranule);
-            lazyInRun_ = false;
-        }
+    uint64_t used = usedBitmapBytes();
+    scanLocked(std::min(used, scanCursor_ + chunks * 64), &lazyStats_);
+    if (scanCursor_ >= used)
         lazyScanDone_ = true;
-    }
     return lazyScanDone_;
 }
 
@@ -752,6 +737,7 @@ PmAllocator::addHold(unsigned tid, uint64_t off, uint64_t bytes)
 {
     std::lock_guard<std::mutex> g(mu_);
     holds_.push_back({tid, off, bytes});
+    mapFresh_ = false;
 }
 
 void
@@ -787,6 +773,13 @@ PmAllocator::freeExtents() const
 {
     std::lock_guard<std::mutex> g(mu_);
     return free_.size();
+}
+
+std::map<uint64_t, uint64_t>
+PmAllocator::freeMap() const
+{
+    std::lock_guard<std::mutex> g(mu_);
+    return free_;
 }
 
 }  // namespace cnvm::alloc

@@ -181,6 +181,14 @@ class PmAllocator {
      * rather than trusted; already-quarantined ranges never re-enter
      * the free map. @return what this pass salvaged.
      *
+     * A fresh-process rebuild with nothing to redo returns at once:
+     * if no bitmap bit was written, no reservation or hold taken and
+     * no crash or media fault struck (Pool::mediaEvents) since the
+     * last fresh-process rebuild, that pass's free map is what a
+     * second scan would build — and it salvaged everything a second
+     * scan could find. Full recovery relies on this: the constructor
+     * scans, and healHeap scans again only if a heal wrote the bitmap.
+     *
      * `keepSession` distinguishes the two callers: false (default) is
      * fresh-process recovery — stale volatile reservations and holds
      * are discarded before the scan; true is the lazy-recovery final
@@ -204,6 +212,14 @@ class PmAllocator {
 
     /** Is an armed lazy rebuild still the source of the free map? */
     bool lazyRebuildActive() const;
+
+    /**
+     * Pull up to `chunks` 64-byte chunks (512 granules each) of an
+     * armed lazy rebuild's bitmap scan into the free map; reserve()
+     * pulls 64 at a time on demand. @return true once the scan has
+     * consumed the whole bitmap (or no lazy rebuild is armed).
+     */
+    bool lazyStep(uint64_t chunks);
 
     /**
      * Pin [off, off+bytes) out of the free map until releaseHolds(tid)
@@ -242,6 +258,9 @@ class PmAllocator {
     /** Number of free extents (fragmentation diagnostics). */
     size_t freeExtents() const;
 
+    /** Copy of the free map, offset -> length (tests). */
+    std::map<uint64_t, uint64_t> freeMap() const;
+
     /** @name Layout accessors (fault-region map, offline verify) */
     /// @{
     uint64_t bitmapOff() const { return hdr().bitmapOff; }
@@ -272,6 +291,17 @@ class PmAllocator {
     void insertFreeRunMaskedLocked(uint64_t off, uint64_t len);
     uint64_t reserveLocked(uint64_t need);
     void healMetaLocked(RebuildStats* st);
+    /** Bitmap bytes that administer data granules. */
+    uint64_t usedBitmapBytes() const;
+    /**
+     * The one bitmap scanner behind rebuild() and the lazy steps:
+     * consume bitmap bytes [scanCursor_, end) in guarded 64-byte
+     * chunks — salvaging unreadable ones into `st`, forcing
+     * quarantined granules allocated — and insert every free run it
+     * finds, the run still open at `end` included. Steps 64 granules
+     * at a time over all-allocated and all-free words.
+     */
+    void scanLocked(uint64_t end, RebuildStats* st);
     bool lazyStepLocked(uint64_t chunks);
     bool scannedLocked(uint64_t blockOff, uint64_t granules) const;
 
@@ -292,13 +322,17 @@ class PmAllocator {
      *  still clear on media; a concurrent rebuild must not free them) */
     std::map<uint64_t, uint64_t> reserved_;
     std::vector<Hold> holds_;
+    /** Bitmap bytes the current scan has consumed. */
+    uint64_t scanCursor_ = 0;
+    /** The volatile state is exactly what the last fresh-process
+     *  rebuild built (see rebuild()); mapEvents_ is the pool's
+     *  mediaEvents() at its end. */
+    bool mapFresh_ = false;
+    uint64_t mapEvents_ = 0;
     /** @name Lazy (incremental) rebuild session */
     /// @{
     bool lazyActive_ = false;
     bool lazyScanDone_ = false;
-    uint64_t lazyCursor_ = 0;     ///< bitmap bytes consumed so far
-    uint64_t lazyRunStartG_ = 0;  ///< open free-run start granule
-    bool lazyInRun_ = false;
     RebuildStats lazyStats_{};    ///< salvage found by lazy steps
     /// @}
 };

@@ -498,10 +498,12 @@ KvServer::applyBatch(std::span<const MutOp> ops, MutResult* results)
 {
     if (ops.empty())
         return;
-    std::vector<size_t> shardIdx;
-    shardIdx.reserve(ops.size());
+    // One key hash per op: the lock set and both stats loops reuse it.
+    std::vector<size_t> opShard;
+    opShard.reserve(ops.size());
     for (const auto& op : ops)
-        shardIdx.push_back(shardOf(op.key));
+        opShard.push_back(shardOf(op.key));
+    std::vector<size_t> shardIdx(opShard);
     std::sort(shardIdx.begin(), shardIdx.end());
     shardIdx.erase(std::unique(shardIdx.begin(), shardIdx.end()),
                    shardIdx.end());
@@ -538,11 +540,11 @@ KvServer::applyBatch(std::span<const MutOp> ops, MutResult* results)
         throw txn::LogOverflowError(
             blob.bytes().size() + kBatchArgSlack, rt::kMaxArgBytes);
 
-    for (const auto& op : ops) {
-        auto& st = shards_[shardOf(op.key)].stats;
-        if (op.kind == MutKind::set)
+    for (size_t i = 0; i < ops.size(); i++) {
+        auto& st = shards_[opShard[i]].stats;
+        if (ops[i].kind == MutKind::set)
             st.sets.fetch_add(1, std::memory_order_relaxed);
-        else if (op.kind == MutKind::del)
+        else if (ops[i].kind == MutKind::del)
             st.dels.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -551,7 +553,7 @@ KvServer::applyBatch(std::span<const MutOp> ops, MutResult* results)
              reinterpret_cast<uint64_t>(results), blob.bytes());
 
     for (size_t i = 0; i < ops.size(); i++) {
-        auto& st = shards_[shardOf(ops[i].key)].stats;
+        auto& st = shards_[opShard[i]].stats;
         if (ops[i].kind == MutKind::del &&
             results[i] == MutResult::deleted)
             st.delHits.fetch_add(1, std::memory_order_relaxed);

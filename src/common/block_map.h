@@ -38,13 +38,10 @@ class BlockMap {
      */
     static constexpr uint8_t kRegionBits = kRegionRead | kRegionWritten;
 
-    explicit BlockMap(size_t initialCapacity = 1024)
-    {
-        size_t cap = 16;
-        while (cap < initialCapacity)
-            cap <<= 1;
-        buckets_.resize(cap);
-    }
+    /** Starts at kMinCapacity buckets and doubles with use. */
+    BlockMap() : buckets_(kMinCapacity) {}
+
+    static constexpr size_t kMinCapacity = 16;
 
     /**
      * The one-probe hot path: state byte for `key`, inserting an empty

@@ -286,6 +286,7 @@ CacheSim::crashImpl(Xorshift* rng, const CrashParams& p)
     }
     volatile_.store(0, std::memory_order_relaxed);
     pendingShards_.store(0, std::memory_order_relaxed);
+    crashes_.fetch_add(1, std::memory_order_relaxed);
     bumpEpoch();
     if (auto* obs = lineObs_.load(std::memory_order_relaxed))
         obs->trackingReset();
@@ -312,6 +313,19 @@ CacheSim::isVolatile(uint64_t line)
     std::lock_guard<std::mutex> g(sh.mu);
     Slot* s = findSlot(sh, line);
     return s != nullptr;
+}
+
+bool
+CacheSim::anyVolatile(uint64_t off, size_t len)
+{
+    if (len == 0 || volatileLines() == 0)
+        return false;
+    uint64_t last = (off + len - 1) / kCacheLine;
+    for (uint64_t ln = off / kCacheLine; ln <= last; ln++) {
+        if (isVolatile(ln))
+            return true;
+    }
+    return false;
 }
 
 size_t

@@ -163,6 +163,17 @@ class CacheSim {
      *  its lock (fault injection skips volatile lines). */
     bool isVolatile(uint64_t line);
 
+    /** Is any line covering [off, off+len) dirty or pending? O(1)
+     *  while nothing is volatile, else one isVolatile per line. */
+    bool anyVolatile(uint64_t off, size_t len);
+
+    /** Simulated power losses (crash or crashAllLost) so far. */
+    uint64_t
+    crashes() const
+    {
+        return crashes_.load(std::memory_order_relaxed);
+    }
+
     /** Drop all tracking without mutating memory (clean shutdown). */
     void discardAll();
 
@@ -239,6 +250,7 @@ class CacheSim {
     std::atomic<size_t> volatile_{0};
     /** Bit i set => shard i may hold pending lines (fast fence). */
     std::atomic<uint64_t> pendingShards_{0};
+    std::atomic<uint64_t> crashes_{0};
     std::array<Shard, kShardCount> shards_;
     static_assert(kShardCount <= 64, "pendingShards_ is one word");
 };

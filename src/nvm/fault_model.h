@@ -165,6 +165,9 @@ class FaultModel {
     uint64_t poisonsInjected() const { return poisons_; }
     uint64_t transientsInjected() const { return transients_; }
     uint64_t poisonReads() const { return poisonReads_; }
+    /** Faults of every kind put on the media so far (flipBit and
+     *  poisonAt included): changes iff the media state may have. */
+    uint64_t injected() const { return flips_ + poisons_ + transients_; }
     uint64_t retries() const { return retries_; }
     /// @}
 

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #if defined(__SSE2__) || defined(__AVX2__)
@@ -328,6 +329,30 @@ Pool::persist(const void* addr, size_t n)
 }
 
 void
+Pool::zeroRange(uint64_t off, size_t n)
+{
+    static constexpr uint64_t kChunk = 4096;
+    static const uint8_t kZeros[kChunk] = {};
+    for (uint64_t lo = off, end = off + n; lo < end;) {
+        // Page-aligned cuts: a chunk cut from an unaligned start would
+        // share its last line with the next chunk, and writing it
+        // would make that neighbour volatile (and so rewritten) too.
+        uint64_t hi = std::min(end, (lo / kChunk + 1) * kChunk);
+        size_t len = hi - lo;
+        bool durableZero =
+            std::memcmp(base_ + lo, kZeros, len) == 0 &&
+            !(faults_ != nullptr && (faults_->poisoned(lo, len) ||
+                                     faults_->tainted(lo, len))) &&
+            !cache_->anyVolatile(lo, len);
+        if (!durableZero) {
+            write(base_ + lo, kZeros, len);
+            flush(base_ + lo, len);
+        }
+        lo = hi;
+    }
+}
+
+void
 Pool::setRoot(uint64_t off)
 {
     auto* h = mutableHeader();
@@ -358,9 +383,18 @@ Pool::slot(unsigned tid) const
     return base_ + header().metaOff + tid * header().slotBytes;
 }
 
+uint64_t
+Pool::mediaEvents() const
+{
+    return cache_->crashes() + retiredFaultEvents_ +
+           (faults_ != nullptr ? faults_->injected() : 0);
+}
+
 void
 Pool::setFaultModel(std::unique_ptr<FaultModel> fm)
 {
+    retiredFaultEvents_ +=
+        1 + (faults_ != nullptr ? faults_->injected() : 0);
     faults_ = std::move(fm);
     if (faults_ == nullptr)
         return;

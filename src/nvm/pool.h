@@ -149,6 +149,17 @@ class Pool {
     void fence();
     /** flush + fence. */
     void persist(const void* addr, size_t n);
+    /**
+     * Make [off, off+n) read zero, with every line that might not be
+     * durably zero written and flushed; the caller's next fence makes
+     * the range durable. Works in 4 KiB chunks cut at page boundaries
+     * of the pool offset and skips each chunk that already reads
+     * zero, has no media fault (poison or taint) and holds no
+     * volatile line — so zeroing a fresh mapping writes nothing and
+     * grows no cache-model state, while a recycled, unflushed or
+     * faulty chunk is rewritten (which also heals its lines).
+     */
+    void zeroRange(uint64_t off, size_t n);
     /// @}
 
     /** Root object management (persisted immediately). */
@@ -197,6 +208,14 @@ class Pool {
         if (faults_ != nullptr)
             faults_->onRead(offsetOf(p), n);
     }
+
+    /**
+     * Count of events that can change what pool memory reads back
+     * without a Pool::write: simulated crashes, injected media faults
+     * and fault-model swaps. Monotone; equal values taken at two
+     * points mean no such event happened in between.
+     */
+    uint64_t mediaEvents() const;
 
     /** Was any line of [p, p+n) bit-flipped and not rewritten? */
     bool
@@ -257,6 +276,9 @@ class Pool {
     int fd_ = -1;
     std::unique_ptr<CacheSim> cache_;
     std::unique_ptr<FaultModel> faults_;
+    /** Faults injected by the models replaced so far, plus one per
+     *  swap (keeps mediaEvents() monotone across setFaultModel). */
+    uint64_t retiredFaultEvents_ = 0;
     bool wasCurrent_ = false;
 };
 

@@ -200,8 +200,8 @@ RuntimeBase::persistIntentsAndAllocs(unsigned tid)
     CNVM_CHECK(s.actions.size() <= kMaxIntents,
                "too many allocation actions in one transaction");
     TxDescriptor& d = desc(tid);
-    std::vector<AllocIntent> table;
-    table.reserve(s.actions.size());
+    std::vector<AllocIntent>& table = s.intentScratch;
+    table.clear();
     for (const auto& [off, isFree] : s.actions) {
         AllocIntent in{};
         in.payloadOff = off;

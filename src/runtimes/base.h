@@ -106,9 +106,10 @@ class RuntimeBase : public txn::Runtime {
          * the old readSet/writeSet/loggedBlocks/region sets cost up to
          * four. Bits are only ever set during a transaction (clear()
          * at reset, clearBits() at iDO region boundaries), which is
-         * what makes the access-run cache below sound.
+         * what makes the access-run cache below sound. Starts small
+         * and grows to the largest transaction the slot has run.
          */
-        BlockMap blocks{4096};
+        BlockMap blocks;
         /**
          * Access-run memoization: inclusive block ranges known to be
          * fully processed by the owning runtime's load (loadRun) or
@@ -127,6 +128,8 @@ class RuntimeBase : public txn::Runtime {
         std::vector<std::pair<uint64_t, bool>> actions;
         /** reusable buffer for scanLog (recovery passes) */
         std::vector<ScannedEntry> scanScratch;
+        /** reusable intent-table image (persistIntentsAndAllocs) */
+        std::vector<AllocIntent> intentScratch;
         /** bytes used in the slot's log area */
         size_t logTail = 0;
 

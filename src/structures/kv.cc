@@ -27,16 +27,12 @@ rawCreate(txn::Engine& eng, size_t bytes)
 {
     // Structure roots are created non-transactionally at setup time
     // (like PMDK pool layout creation): reserve, zero, commit the
-    // allocation, fence.
+    // allocation, fence. Heap space never written since the pool was
+    // created is already durably zero and costs no writes.
     auto& heap = eng.rt.heap();
     auto& pool = eng.rt.pool();
     uint64_t off = heap.reserve(bytes);
-    std::vector<uint8_t> zeros(4096, 0);
-    for (size_t i = 0; i < bytes; i += zeros.size()) {
-        size_t n = std::min(zeros.size(), bytes - i);
-        pool.writeAt(off + i, zeros.data(), n);
-        pool.flush(pool.at(off + i), n);
-    }
+    pool.zeroRange(off, bytes);
     heap.persistAllocate(off);
     pool.fence();
     return off;

@@ -70,7 +70,7 @@ TEST(Fnv1a, KnownProperties)
 
 TEST(BlockMap, RefInsertsAndAccumulatesBits)
 {
-    BlockMap m(16);
+    BlockMap m;
     EXPECT_EQ(m.get(5), 0);
     m.ref(5) |= BlockMap::kRead;
     m.ref(5) |= BlockMap::kWritten;
@@ -84,7 +84,7 @@ TEST(BlockMap, RefInsertsAndAccumulatesBits)
 
 TEST(BlockMap, ClearIsCheapAndComplete)
 {
-    BlockMap m(16);
+    BlockMap m;
     for (uint64_t b = 0; b < 100; b++)
         m.ref(b) |= BlockMap::kWritten;
     m.clear();
@@ -97,7 +97,7 @@ TEST(BlockMap, ClearIsCheapAndComplete)
 
 TEST(BlockMap, GrowthPreservesStateBits)
 {
-    BlockMap m(16);
+    BlockMap m;
     // Assign a distinct bit pattern per key, forcing several growths
     // mid-"transaction", and check no state byte is lost or mixed up.
     std::map<uint64_t, uint8_t> expect;
@@ -107,7 +107,7 @@ TEST(BlockMap, GrowthPreservesStateBits)
         m.ref(key) |= bits;
         expect[key] |= bits;
     }
-    EXPECT_GT(m.capacity(), 16u);
+    EXPECT_GT(m.capacity(), BlockMap::kMinCapacity);
     EXPECT_EQ(m.size(), expect.size());
     for (const auto& [key, bits] : expect)
         EXPECT_EQ(m.get(key), bits) << "key " << key;
@@ -118,7 +118,7 @@ TEST(BlockMap, GrowthPreservesStateBits)
 
 TEST(BlockMap, EpochWrapHardResets)
 {
-    BlockMap m(16);
+    BlockMap m;
     m.ref(1) |= BlockMap::kRead;
     m.ref(2) |= BlockMap::kWritten;
     m.forceWrap();
@@ -137,7 +137,7 @@ TEST(BlockMap, EpochWrapHardResets)
 
 TEST(BlockMap, ClearRegionBitsIsScopedAndCheap)
 {
-    BlockMap m(16);
+    BlockMap m;
     m.ref(1) |= BlockMap::kRead | BlockMap::kRegionRead;
     m.ref(2) |= BlockMap::kWritten | BlockMap::kRegionWritten;
     m.clearRegionBits();
@@ -158,7 +158,7 @@ TEST(BlockMap, ClearRegionBitsIsScopedAndCheap)
 
 TEST(BlockMap, RegionEpochSurvivesGrowth)
 {
-    BlockMap m(16);
+    BlockMap m;
     for (uint64_t b = 0; b < 50; b++)
         m.ref(b) |= BlockMap::kWritten | BlockMap::kRegionWritten;
     m.clearRegionBits();
