@@ -14,12 +14,17 @@
  * sweep: time-to-first-transaction (TTFT) after a crash, full restart
  * (eager allocator scan + stop-the-world recover) vs lazy restart
  * (deferred rebuild + triage + first-touch heal), across pool sizes.
- * Results land in a JSON file (argv[1], default
- * BENCH_recovery.current.json) that scripts/bench_recovery.sh merges
- * into BENCH_recovery.json.
+ * Each cell reports the median of its CNVM_REPS repetitions (default
+ * 5) with the min and max. Results land in argv[1] (default
+ * BENCH_recovery.json in the working directory); the binary exits
+ * non-zero when it cannot write them. To refresh the committed file
+ * from the repo root, skipping the slow figure loop:
+ *
+ *   build/bench/fig9_recovery --benchmark_filter='^$'
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -105,7 +110,7 @@ runFig9(benchmark::State& state, const std::string& structure,
     }
 }
 
-/** One cell of the instant-restart sweep. */
+/** One repetition of one cell of the instant-restart sweep. */
 struct TtftRow {
     std::string system;
     size_t poolMB = 0;
@@ -114,6 +119,44 @@ struct TtftRow {
     double ttftUs = 0;     ///< restart to first commit acked
     uint64_t pendingAtFirstTx = 0;  ///< heal items still outstanding
 };
+
+/**
+ * A cell over its repetitions: median recover and TTFT times, the TTFT
+ * spread, and the most heal items any repetition left pending.
+ */
+struct TtftCell {
+    TtftRow median;
+    double ttftMinUs = 0;
+    double ttftMaxUs = 0;
+};
+
+double
+medianOf(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+TtftCell
+summarize(const std::vector<TtftRow>& runs)
+{
+    TtftCell c;
+    c.median = runs.front();
+    std::vector<double> recover, ttft;
+    for (const TtftRow& r : runs) {
+        recover.push_back(r.recoverUs);
+        ttft.push_back(r.ttftUs);
+        c.median.pendingAtFirstTx =
+            std::max(c.median.pendingAtFirstTx, r.pendingAtFirstTx);
+    }
+    c.median.recoverUs = medianOf(recover);
+    c.median.ttftUs = medianOf(ttft);
+    auto [lo, hi] = std::minmax_element(ttft.begin(), ttft.end());
+    c.ttftMinUs = *lo;
+    c.ttftMaxUs = *hi;
+    return c;
+}
 
 double
 usBetween(std::chrono::steady_clock::time_point a,
@@ -191,31 +234,28 @@ runTtftCell(txn::RuntimeKind kind, size_t poolMB, bool lazy,
  * TTFT win at every pool size and >=10x on the largest pool, where
  * full restart's bitmap scan (word-stepping, ~1.9 ms at 512 MiB)
  * still dominates and lazy stays flat (~0.1 ms). Writes `path` and
- * prints the ratios.
+ * prints the ratios; false when `path` cannot be written.
  */
-void
+bool
 runTtftSweep(const char* path)
 {
     size_t ops = bench::totalOps(20000) / 2;
     std::vector<size_t> poolsMB =
         bench::smokeMode() ? std::vector<size_t>{64}
                            : std::vector<size_t>{64, 256, 512};
-    size_t reps = bench::envSize("CNVM_REPS", 3);
+    size_t reps = std::max<size_t>(1, bench::envSize("CNVM_REPS", 5));
 
-    std::vector<TtftRow> rows;
+    std::vector<TtftCell> cells;
     for (auto kind :
          {txn::RuntimeKind::clobber, txn::RuntimeKind::undo}) {
         for (size_t mb : poolsMB) {
             for (bool lazy : {false, true}) {
                 Xorshift rng(2026 + mb + (lazy ? 1 : 0));
-                TtftRow best;
-                for (size_t r = 0; r < reps; r++) {
-                    TtftRow one =
-                        runTtftCell(kind, mb, lazy, ops, rng);
-                    if (r == 0 || one.ttftUs < best.ttftUs)
-                        best = one;
-                }
-                rows.push_back(best);
+                std::vector<TtftRow> runs;
+                for (size_t r = 0; r < reps; r++)
+                    runs.push_back(
+                        runTtftCell(kind, mb, lazy, ops, rng));
+                cells.push_back(summarize(runs));
             }
         }
     }
@@ -223,33 +263,43 @@ runTtftSweep(const char* path)
     std::FILE* f = std::fopen(path, "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", path);
-        return;
+        return false;
     }
-    std::fprintf(f, "{\n  \"load_ops\": %zu,\n  \"ttft\": [\n", ops);
-    for (size_t i = 0; i < rows.size(); i++) {
-        const TtftRow& r = rows[i];
+    std::fprintf(f, "{\n  \"load_ops\": %zu,\n  \"reps\": %zu,\n",
+                 ops, reps);
+    std::fprintf(f, "  \"ttft\": [\n");
+    for (size_t i = 0; i < cells.size(); i++) {
+        const TtftRow& r = cells[i].median;
         std::fprintf(f,
                      "    {\"system\": \"%s\", \"pool_mb\": %zu, "
                      "\"mode\": \"%s\", \"recover_us\": %.1f, "
-                     "\"ttft_us\": %.1f, \"pending_at_first_tx\": "
-                     "%llu}%s\n",
+                     "\"ttft_us\": %.1f, \"ttft_min_us\": %.1f, "
+                     "\"ttft_max_us\": %.1f, "
+                     "\"pending_at_first_tx\": %llu}%s\n",
                      r.system.c_str(), r.poolMB, r.mode.c_str(),
-                     r.recoverUs, r.ttftUs,
+                     r.recoverUs, r.ttftUs, cells[i].ttftMinUs,
+                     cells[i].ttftMaxUs,
                      static_cast<unsigned long long>(
                          r.pendingAtFirstTx),
-                     i + 1 < rows.size() ? "," : "");
+                     i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-
-    for (size_t i = 0; i + 1 < rows.size(); i += 2) {
-        const TtftRow& full = rows[i];
-        const TtftRow& lz = rows[i + 1];
-        std::printf("ttft %-8s pool=%3zuMB  full=%9.1fus  "
-                    "lazy=%8.1fus  speedup=%.1fx\n",
-                    full.system.c_str(), full.poolMB, full.ttftUs,
-                    lz.ttftUs, full.ttftUs / lz.ttftUs);
+    if (std::fclose(f) != 0) {
+        std::fprintf(stderr, "cannot write %s\n", path);
+        return false;
     }
+
+    for (size_t i = 0; i + 1 < cells.size(); i += 2) {
+        const TtftCell& full = cells[i];
+        const TtftCell& lz = cells[i + 1];
+        std::printf("ttft %-8s pool=%3zuMB  full=%9.1fus [%.1f-%.1f]  "
+                    "lazy=%8.1fus [%.1f-%.1f]  speedup=%.1fx\n",
+                    full.median.system.c_str(), full.median.poolMB,
+                    full.median.ttftUs, full.ttftMinUs, full.ttftMaxUs,
+                    lz.median.ttftUs, lz.ttftMinUs, lz.ttftMaxUs,
+                    full.median.ttftUs / lz.median.ttftUs);
+    }
+    return true;
 }
 
 void
@@ -280,14 +330,15 @@ main(int argc, char** argv)
 {
     // A leading non-flag argument is the instant-restart JSON path
     // (google-benchmark flags all start with '-').
-    const char* ttftOut = "BENCH_recovery.current.json";
+    const char* ttftOut = "BENCH_recovery.json";
     if (argc > 1 && argv[1][0] != '-') {
         ttftOut = argv[1];
         for (int i = 1; i + 1 < argc; i++)
             argv[i] = argv[i + 1];
         argc--;
     }
-    runTtftSweep(ttftOut);
+    if (!runTtftSweep(ttftOut))
+        return 1;
 
     registerAll();
     benchmark::Initialize(&argc, argv);

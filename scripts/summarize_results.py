@@ -6,7 +6,8 @@ Usage: scripts/summarize_results.py [results-dir]
 Reads the figN.csv files the bench binaries write (artifact-style rows)
 and prints, per figure, the comparison table EXPERIMENTS.md embeds:
 single-thread and max-thread throughputs with ratios for Figure 6/10,
-per-transaction log volumes for Figures 7/8, and so on.
+per-transaction log volumes for Figures 7/8, and so on. The instant-
+restart table comes from the BENCH_recovery.json fig9_recovery writes.
 """
 import csv
 import json
@@ -197,92 +198,39 @@ def read_json(path):
         return json.load(f)
 
 
-def logwriter(d):
-    doc = read_json(os.path.join(d, 'BENCH_logwriter.json'))
-    if not doc:
-        return
-    print('\n### Log-writer shootout (BENCH_logwriter.json)\n')
-    print('| label | op | system | threads | writer | Mops/s |'
-          ' vs baseline | fences/tx |')
-    print('|---|---|---|---|---|---|---|---|')
-    for label, run in sorted(doc.items()):
-        base = {}
-        for row in run.get('series', []):
-            key = (row['op'], row['system'], row['threads'])
-            if row['writer'] == 'baseline':
-                base[key] = row['ops_per_sec']
-        for row in run.get('series', []):
-            key = (row['op'], row['system'], row['threads'])
-            b = base.get(key)
-            rel = ('%.2fx' % (row['ops_per_sec'] / b)
-                   if b else 'n/a')
-            print('| %s | %s | %s | %d | %s | %.2f | %s | %.1f |' %
-                  (label, row['op'], row['system'], row['threads'],
-                   row['writer'], row['ops_per_sec'] / 1e6, rel,
-                   row.get('fences_per_tx', float('nan'))))
-
-
 def recovery(d):
     doc = read_json(os.path.join(d, 'BENCH_recovery.json'))
     if not doc:
         return
     print('\n### Instant restart — time to first transaction '
-          '(BENCH_recovery.json)\n')
-    print('| label | system | pool MB | full TTFT us | lazy TTFT us |'
-          ' speedup | lazy admit us | pending @first tx |')
-    print('|---|---|---|---|---|---|---|---|')
-    for label, run in sorted(doc.items()):
-        cells = {}
-        for row in run.get('ttft', []):
-            cells.setdefault((row['system'], row['pool_mb']),
-                             {})[row['mode']] = row
-        for (sysname, mb) in sorted(cells):
-            full = cells[(sysname, mb)].get('full')
-            lazy = cells[(sysname, mb)].get('lazy')
-            if full is None or lazy is None:
-                continue
-            sp = (full['ttft_us'] / lazy['ttft_us']
-                  if lazy['ttft_us'] else float('nan'))
-            print('| %s | %s | %d | %.0f | %.0f | %.1fx | %.0f |'
-                  ' %d |' %
-                  (label, sysname, mb, full['ttft_us'],
-                   lazy['ttft_us'], sp, lazy['recover_us'],
-                   lazy['pending_at_first_tx']))
-
-
-def kvserver(d):
-    doc = read_json(os.path.join(d, 'BENCH_kvserver.json'))
-    if not doc:
-        return
-    print('\n### KV service — group commit & worker scaling '
-          '(BENCH_kvserver.json)\n')
-    print('| label | system | mix | workers | batch=1 ops/s |'
-          ' batch=8 ops/s | speedup | p50/p95/p99 us (batch=8) |')
-    print('|---|---|---|---|---|---|---|---|')
-    for label, run in sorted(doc.items()):
-        cells = {}
-        for row in run.get('series', []):
-            key = (row['system'], row['mix'], row['workers'])
-            cells.setdefault(key, {})[row['batch']] = row
-        for (sysname, mix, workers) in sorted(cells):
-            byb = cells[(sysname, mix, workers)]
-            b1 = byb.get(1)
-            bn = byb.get(max(byb))
-            if b1 is None or bn is b1:
-                continue
-            sp = (bn['ops_per_sec'] / b1['ops_per_sec']
-                  if b1['ops_per_sec'] else float('nan'))
-            print('| %s | %s | %s | %d | %.0f | %.0f | %.2fx |'
-                  ' %.0f/%.0f/%.0f |' %
-                  (label, sysname, mix, workers, b1['ops_per_sec'],
-                   bn['ops_per_sec'], sp, bn['p50_us'], bn['p95_us'],
-                   bn['p99_us']))
+          '(BENCH_recovery.json, median of %d reps [min-max])\n'
+          % doc['reps'])
+    print('| system | pool MB | full TTFT us | lazy TTFT us | speedup |'
+          ' lazy admit us | pending @first tx |')
+    print('|---|---|---|---|---|---|---|')
+    cells = {}
+    for row in doc['ttft']:
+        cells.setdefault((row['system'], row['pool_mb']),
+                         {})[row['mode']] = row
+    for (sysname, mb) in sorted(cells):
+        full = cells[(sysname, mb)].get('full')
+        lazy = cells[(sysname, mb)].get('lazy')
+        if full is None or lazy is None:
+            continue
+        sp = (full['ttft_us'] / lazy['ttft_us']
+              if lazy['ttft_us'] else float('nan'))
+        print('| %s | %d | %.0f [%.0f-%.0f] | %.0f [%.0f-%.0f] |'
+              ' %.1fx | %.0f | %d |' %
+              (sysname, mb, full['ttft_us'], full['ttft_min_us'],
+               full['ttft_max_us'], lazy['ttft_us'],
+               lazy['ttft_min_us'], lazy['ttft_max_us'], sp,
+               lazy['recover_us'], lazy['pending_at_first_tx']))
 
 
 def main():
     d = sys.argv[1] if len(sys.argv) > 1 else '.'
     for fn in (fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13,
-               fig14, ablation, logwriter, recovery, kvserver):
+               fig14, ablation, recovery):
         fn(d)
 
 

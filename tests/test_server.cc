@@ -15,7 +15,9 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "apps/kv/kv_server.h"
 #include "common/rand.h"
@@ -894,9 +896,9 @@ class SockClient {
 };
 
 struct Stack {
-    explicit Stack(Harness& h)
+    explicit Stack(Harness& h, unsigned batchMax = 8)
         : eng(h.engine()), kv(eng, 0, kvCfg()),
-          svc(kv, svcCfg()), tcp(svc, kv, server::TcpConfig{})
+          svc(kv, svcCfg(batchMax)), tcp(svc, kv, server::TcpConfig{})
     {
         svc.start();
         tcp.start();
@@ -917,11 +919,11 @@ struct Stack {
     }
 
     static server::ServiceConfig
-    svcCfg()
+    svcCfg(unsigned batchMax)
     {
         server::ServiceConfig cfg;
         cfg.workers = 2;
-        cfg.batchMax = 8;
+        cfg.batchMax = batchMax;
         return cfg;
     }
 
@@ -1020,11 +1022,17 @@ TEST(TcpServer, PipelinedWindowKeepsCommandOrder)
     EXPECT_EQ(c.roundTrip(req, exp.size()), exp);
 }
 
-TEST(TcpServer, LoadGeneratorRoundTrip)
+/** (batchMax, writeRatio): group commit off and on, write-only and
+ *  read-mostly pipelined load. */
+class LoadGeneratorRoundTrip
+    : public ::testing::TestWithParam<std::tuple<unsigned, double>> {};
+
+TEST_P(LoadGeneratorRoundTrip, EveryOpAcked)
 {
+    auto [batchMax, writeRatio] = GetParam();
     Harness h(RuntimeKind::clobber, rt::ClobberPolicy::refined,
               64ULL << 20);
-    Stack s(h);
+    Stack s(h, batchMax);
 
     server::LoadConfig cfg;
     cfg.port = s.tcp.port();
@@ -1033,7 +1041,7 @@ TEST(TcpServer, LoadGeneratorRoundTrip)
     cfg.window = 16;
     cfg.keySpace = 500;
     cfg.valueLen = 64;
-    cfg.writeRatio = 0.5;
+    cfg.writeRatio = writeRatio;
     auto res = server::runLoad(cfg);
     EXPECT_EQ(res.opsAcked, 4000u);
     EXPECT_EQ(res.errors, 0u);
@@ -1042,11 +1050,25 @@ TEST(TcpServer, LoadGeneratorRoundTrip)
     EXPECT_GT(res.p99us, 0.0);
     EXPECT_GE(res.p99us, res.p50us);
 
-    // Group commit engaged under pipelined load.
+    // Group commit engages under pipelined load only when enabled.
     auto st = s.svc.totalStats();
-    EXPECT_GT(st.batches, 0u);
-    EXPECT_GT(st.batchedOps, st.batches);
+    if (batchMax > 1) {
+        EXPECT_GT(st.batches, 0u);
+        EXPECT_GT(st.batchedOps, st.batches);
+    } else {
+        EXPECT_EQ(st.batchedOps, st.batches);
+    }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TcpServer, LoadGeneratorRoundTrip,
+    ::testing::Combine(::testing::Values(1u, 8u),
+                       ::testing::Values(1.0, 0.25)),
+    [](const auto& info) {
+        return "batch" + std::to_string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) == 1.0 ? "_write100"
+                                               : "_write25");
+    });
 
 }  // namespace
 }  // namespace cnvm::test

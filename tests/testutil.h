@@ -40,12 +40,13 @@ class Harness {
  public:
     explicit Harness(txn::RuntimeKind kind,
                      rt::ClobberPolicy policy = rt::ClobberPolicy::refined,
-                     size_t poolSize = 32ULL << 20)
+                     size_t poolSize = 32ULL << 20,
+                     size_t slotBytes = 128ULL << 10)
     {
         nvm::PoolConfig cfg;
         cfg.size = poolSize;
         cfg.maxThreads = 8;
-        cfg.slotBytes = 128ULL << 10;
+        cfg.slotBytes = slotBytes;
         pool = nvm::Pool::create(cfg);
         nvm::Pool::setCurrent(pool.get());
         heap = std::make_unique<alloc::PmAllocator>(*pool);
