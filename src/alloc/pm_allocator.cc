@@ -41,14 +41,16 @@ PmAllocator::expectedHeader() const
     uint64_t quarOff = headerEnd;
     uint64_t bitmapOff = alignUp(quarOff + sizeof(QuarantineTable), 64);
     uint64_t avail = heapBytes - (bitmapOff - heapOff);
-    // Each bitmap byte administers 8 granules = 128 data bytes.
-    uint64_t bitmapBytes = alignUp(avail / 129 + 1, 64);
+    // Each 64-byte bitmap line administers 256 granules = 4 KiB of
+    // data: one bitmap byte per 64 data bytes.
+    uint64_t bitmapBytes = alignUp(avail / 65 + 1, kBitmapLine);
     uint64_t dataOff = alignUp(bitmapOff + bitmapBytes, kGranule);
     CNVM_CHECK(dataOff < heapOff + heapBytes,
                "heap too small to format");
     uint64_t dataBytes =
         (heapOff + heapBytes - dataOff) / kGranule * kGranule;
-    CNVM_CHECK(dataBytes / kGranule <= bitmapBytes * 8,
+    CNVM_CHECK(dataBytes / kGranule <=
+                   bitmapBytes / kBitmapLine * kLineGranules,
                "bitmap sizing bug");
     AllocHeader h{};
     h.magic = kMagic;
@@ -98,26 +100,60 @@ PmAllocator::hdr() const
 }
 
 uint64_t
-PmAllocator::blockGranules(uint64_t payloadOff) const
+PmAllocator::blockGranulesLocked(uint64_t off) const
 {
-    uint64_t total = sizeof(BlockHeader) + payloadSize(payloadOff);
-    return alignUp(total, kGranule) / kGranule;
+    const AllocHeader& h = hdr();
+    uint64_t nGranules = h.dataBytes / kGranule;
+    uint64_t g = (off - h.dataOff) / kGranule;
+    // One guarded copy per line: allocation words 0-3, start words 4-7.
+    uint64_t words[kBitmapLine / 8];
+    uint64_t loaded = ~0ULL;
+    auto load = [&](uint64_t line) {
+        if (line == loaded)
+            return;
+        const void* src = pool_.at(h.bitmapOff + line * kBitmapLine);
+        pool_.checkRead(src, kBitmapLine);
+        std::memcpy(words, src, kBitmapLine);
+        loaded = line;
+    };
+    if (off < h.dataOff || (off - h.dataOff) % kGranule != 0 ||
+        g >= nGranules) {
+        throw CorruptBlockError(
+            off, strprintf("pool offset %llu is not a heap granule",
+                           static_cast<unsigned long long>(off)));
+    }
+    load(g / kLineGranules);
+    unsigned w = static_cast<unsigned>(g % kLineGranules / 64);
+    uint64_t bit = uint64_t{1} << (g % 64);
+    if ((words[w] & words[w + 4] & bit) == 0) {
+        throw CorruptBlockError(
+            off, strprintf("no heap block starts at pool offset %llu",
+                           static_cast<unsigned long long>(off)));
+    }
+    // The block runs up to the next free granule or start bit; step a
+    // word at a time.
+    uint64_t end = g + 1;
+    while (end < nGranules) {
+        load(end / kLineGranules);
+        w = static_cast<unsigned>(end % kLineGranules / 64);
+        uint64_t stop = (~words[w] | words[w + 4]) >> (end % 64);
+        if (stop != 0) {
+            end += static_cast<uint64_t>(std::countr_zero(stop));
+            break;
+        }
+        end += 64 - end % 64;
+    }
+    return std::min(end, nGranules) - g;
 }
 
 size_t
 PmAllocator::payloadSize(uint64_t payloadOff) const
 {
-    const auto* bh = static_cast<const BlockHeader*>(
-        pool_.at(blockOff(payloadOff)));
-    pool_.checkRead(bh, sizeof(*bh));
-    if ((bh->payloadBytes ^ kBlockMagic) != bh->check) {
-        throw CorruptBlockError(
-            payloadOff,
-            strprintf("corrupt block header at pool offset %llu",
-                      static_cast<unsigned long long>(
-                          blockOff(payloadOff))));
-    }
-    return bh->payloadBytes;
+    std::lock_guard<std::mutex> g(mu_);
+    auto it = reserved_.find(payloadOff);
+    if (it != reserved_.end())
+        return it->second;
+    return blockGranulesLocked(payloadOff) * kGranule;
 }
 
 void
@@ -213,18 +249,17 @@ PmAllocator::reserveLocked(uint64_t need)
 uint64_t
 PmAllocator::reserve(size_t payload)
 {
-    uint64_t need =
-        alignUp(sizeof(BlockHeader) + payload, kGranule);
+    uint64_t need = alignUp(std::max<uint64_t>(payload, 1), kGranule);
     uint64_t off;
     {
         std::lock_guard<std::mutex> g(mu_);
         off = reserveLocked(need);
         // During a lazy rebuild the free map only covers the scanned
         // prefix of the bitmap: pull more of the scan before declaring
-        // the heap exhausted. 64 chunks = 4 KiB of bitmap = 512 KiB of
+        // the heap exhausted. 128 lines = 8 KiB of bitmap = 512 KiB of
         // data per pull keeps the stall bounded.
         while (off == 0 && lazyActive_ && !lazyScanDone_) {
-            lazyStepLocked(64);
+            lazyStepLocked(128);
             off = reserveLocked(need);
         }
         if (off != 0)
@@ -233,62 +268,78 @@ PmAllocator::reserve(size_t payload)
     }
     if (off == 0)
         fatal("persistent heap exhausted");
-    BlockHeader bh{payload, payload ^ kBlockMagic};
-    pool_.writeAt(off, &bh, sizeof(bh));
     stats::bump(stats::Counter::allocs);
-    return off + sizeof(BlockHeader);
+    return off;
 }
 
 void
 PmAllocator::releaseReservation(uint64_t payloadOff)
 {
-    uint64_t off = blockOff(payloadOff);
-    uint64_t len = blockGranules(payloadOff) * kGranule;
     std::lock_guard<std::mutex> g(mu_);
-    reserved_.erase(off);
-    insertFreeExtentLocked(off, len);
+    // A fresh-process rebuild since the reserve already counted the
+    // block's (never set) bits as free space.
+    auto it = reserved_.find(payloadOff);
+    if (it == reserved_.end())
+        return;
+    uint64_t len = it->second;
+    reserved_.erase(it);
+    insertFreeExtentLocked(payloadOff, len);
 }
 
 void
-PmAllocator::setBits(uint64_t bOff, uint64_t granules, bool value,
-                     bool flushBits)
+PmAllocator::writeBitsLocked(uint64_t firstG, uint64_t granules,
+                             BitOp op)
 {
     mapFresh_ = false;
     const AllocHeader& h = hdr();
-    uint64_t g = (bOff - h.dataOff) / kGranule;
-    uint64_t endG = g + granules;
-    // Read-modify-write whole bytes under the allocator lock, one
-    // stack window at a time (a window covers 64 KiB of heap, so
-    // every block but a large root takes one write).
-    uint8_t buf[512];
-    while (g < endG) {
-        uint64_t firstByte = g / 8;
-        uint64_t nBytes =
-            std::min<uint64_t>(sizeof(buf), (endG - 1) / 8 - firstByte + 1);
-        uint64_t stopG = std::min(endG, (firstByte + nBytes) * 8);
-        std::memcpy(buf, pool_.at(h.bitmapOff + firstByte), nBytes);
-        for (; g < stopG; g++) {
-            auto bit = static_cast<uint8_t>(1u << (g % 8));
-            if (value)
-                buf[g / 8 - firstByte] |= bit;
-            else
-                buf[g / 8 - firstByte] &= static_cast<uint8_t>(~bit);
+    uint64_t endG = firstG + granules;
+    bool allocated = op != BitOp::free;
+    for (uint64_t g = firstG; g < endG;) {
+        uint64_t line = g / kLineGranules;
+        uint64_t lo = g % kLineGranules;
+        uint64_t hi = std::min(endG - line * kLineGranules, kLineGranules);
+        auto* p = static_cast<uint8_t*>(
+            pool_.at(h.bitmapOff + line * kBitmapLine));
+        uint8_t buf[kBitmapLine];
+        std::memcpy(buf, p, sizeof(buf));
+        for (uint64_t i = lo; i < hi; i++) {
+            auto bit = static_cast<uint8_t>(1u << (i % 8));
+            uint8_t& a = buf[i / 8];
+            uint8_t& s = buf[kStartBitsOff + i / 8];
+            a = allocated ? a | bit : a & static_cast<uint8_t>(~bit);
+            bool first = line * kLineGranules + i == firstG;
+            if (first && allocated)
+                s |= bit;
+            else if (op != BitOp::quarantine)
+                s &= static_cast<uint8_t>(~bit);
         }
-        pool_.writeAt(h.bitmapOff + firstByte, buf, nBytes);
-        if (flushBits)
-            pool_.flush(pool_.at(h.bitmapOff + firstByte), nBytes);
+        // Only the bytes of the range change: write them per half (a
+        // quarantine touches one start byte, in its first line only),
+        // then flush the line once.
+        uint64_t b0 = lo / 8;
+        uint64_t n = (hi - 1) / 8 + 1 - b0;
+        pool_.write(p + b0, buf + b0, n);
+        if (op != BitOp::quarantine)
+            pool_.write(p + kStartBitsOff + b0, buf + kStartBitsOff + b0,
+                        n);
+        else if (g == firstG)
+            pool_.write(p + kStartBitsOff + b0, buf + kStartBitsOff + b0,
+                        1);
+        pool_.flush(p + b0, kStartBitsOff + n);
+        g = line * kLineGranules + hi;
     }
 }
 
 void
 PmAllocator::persistAllocate(uint64_t payloadOff)
 {
-    uint64_t bOff = blockOff(payloadOff);
-    uint64_t granules = blockGranules(payloadOff);
     std::lock_guard<std::mutex> g(mu_);
-    setBits(bOff, granules, true, true);
-    pool_.flush(pool_.at(bOff), sizeof(BlockHeader));
-    reserved_.erase(bOff);  // the bitmap speaks for the block now
+    auto it = reserved_.find(payloadOff);
+    CNVM_CHECK(it != reserved_.end(),
+               "persistAllocate of an offset with no live reservation");
+    writeBitsLocked(granuleOf(payloadOff),
+                    it->second / kGranule, BitOp::allocate);
+    reserved_.erase(it);  // the bitmap speaks for the block now
 }
 
 void
@@ -300,16 +351,17 @@ PmAllocator::persistFree(uint64_t payloadOff)
 void
 PmAllocator::persistFree(uint64_t payloadOff, size_t payloadBytes)
 {
-    uint64_t bOff = blockOff(payloadOff);
-    uint64_t granules =
-        alignUp(sizeof(BlockHeader) + payloadBytes, kGranule) / kGranule;
+    uint64_t len = alignUp(payloadBytes, kGranule);
     std::lock_guard<std::mutex> g(mu_);
-    setBits(bOff, granules, false, true);
+    writeBitsLocked(granuleOf(payloadOff),
+                    len / kGranule, BitOp::free);
     // Mid-lazy-rebuild, a range the scan has not reached yet must not
     // enter the free map twice: the cleared bits make the ongoing scan
-    // (or the final reconcile) insert it exactly once.
-    if (scannedLocked(bOff, granules))
-        insertFreeExtentLocked(bOff, granules * kGranule);
+    // (or the final reconcile) insert it exactly once. A block that
+    // touches a quarantined range stays out of it for good.
+    if (scannedLocked(payloadOff, len / kGranule) &&
+        !isQuarantinedLocked(payloadOff, len))
+        insertFreeExtentLocked(payloadOff, len);
     stats::bump(stats::Counter::frees);
 }
 
@@ -317,9 +369,7 @@ void
 PmAllocator::revertBits(uint64_t payloadOff, size_t payloadBytes,
                         bool allocated)
 {
-    uint64_t bOff = blockOff(payloadOff);
-    uint64_t granules =
-        alignUp(sizeof(BlockHeader) + payloadBytes, kGranule) / kGranule;
+    uint64_t len = alignUp(payloadBytes, kGranule);
     std::lock_guard<std::mutex> g(mu_);
     if (allocated && lazyActive_) {
         // Lazy recovery heals concurrently with foreground traffic: a
@@ -327,24 +377,17 @@ PmAllocator::revertBits(uint64_t payloadOff, size_t payloadBytes,
         // since have been freed again by a committed foreground
         // transaction. Its free-map extent is the evidence — don't
         // re-force such a block allocated, or the free would leak.
-        auto it = free_.upper_bound(bOff);
+        auto it = free_.upper_bound(payloadOff);
         if (it != free_.begin()) {
             auto prev = std::prev(it);
-            if (prev->first <= bOff &&
-                bOff + granules * kGranule <=
-                    prev->first + prev->second)
+            if (prev->first <= payloadOff &&
+                payloadOff + len <= prev->first + prev->second)
                 return;
         }
     }
-    if (allocated) {
-        // Restoring an allocated block whose header may have been
-        // torn: rewrite the header from the intent table so later
-        // frees can trust it.
-        BlockHeader bh{payloadBytes, payloadBytes ^ kBlockMagic};
-        pool_.writeAt(bOff, &bh, sizeof(bh));
-        pool_.flush(pool_.at(bOff), sizeof(bh));
-    }
-    setBits(bOff, granules, allocated, true);
+    writeBitsLocked(granuleOf(payloadOff),
+                    len / kGranule,
+                    allocated ? BitOp::allocate : BitOp::free);
 }
 
 void
@@ -379,14 +422,14 @@ PmAllocator::quarantineLocked(uint64_t off, uint64_t bytes,
     }
     // Force every granule the range overlaps allocated so no future
     // rebuild can hand it out. The range is clipped to the data area
-    // (a bitmap chunk's tail can administer granules past dataBytes).
+    // (a bitmap line's tail can administer granules past dataBytes).
     uint64_t d = hdr().dataOff;
     uint64_t lo = std::max(off, d);
     uint64_t hi = std::min(off + bytes, d + hdr().dataBytes);
     if (lo < hi) {
         uint64_t firstG = (lo - d) / kGranule;
         uint64_t endG = (hi - d + kGranule - 1) / kGranule;
-        setBits(d + firstG * kGranule, endG - firstG, true, true);
+        writeBitsLocked(firstG, endG - firstG, BitOp::quarantine);
     }
 }
 
@@ -509,12 +552,13 @@ PmAllocator::healMetaLocked(RebuildStats* st)
 uint64_t
 PmAllocator::usedBitmapBytes() const
 {
-    return (hdr().dataBytes / kGranule + 7) / 8;
+    uint64_t nGranules = hdr().dataBytes / kGranule;
+    return (nGranules + kLineGranules - 1) / kLineGranules * kBitmapLine;
 }
 
 namespace {
 
-/** Set granule bits [from, to) of a chunk's local word copy. */
+/** Set granule bits [from, to) of a line's local word copy. */
 void
 setLocalBits(uint64_t* words, uint64_t from, uint64_t to)
 {
@@ -532,10 +576,8 @@ setLocalBits(uint64_t* words, uint64_t from, uint64_t to)
 void
 PmAllocator::scanLocked(uint64_t end, RebuildStats* st)
 {
-    constexpr uint64_t kChunk = 64;  // bitmap bytes per guarded read
     const AllocHeader& h = hdr();
     uint64_t nGranules = h.dataBytes / kGranule;
-    uint64_t used = usedBitmapBytes();
     const QuarantineTable* qt = quarTable();
     bool wroteBits = false;
     uint64_t runStartG = 0;
@@ -548,32 +590,35 @@ PmAllocator::scanLocked(uint64_t end, RebuildStats* st)
 
     while (scanCursor_ < end) {
         uint64_t c = scanCursor_;
-        uint64_t n = std::min(kChunk, used - c);
-        scanCursor_ += n;
-        uint64_t firstG = c * 8;
-        uint64_t lastG = std::min(firstG + n * 8, nGranules);
+        scanCursor_ += kBitmapLine;
+        uint64_t firstG = c / kBitmapLine * kLineGranules;
+        uint64_t lastG = std::min(firstG + kLineGranules, nGranules);
         const void* src = pool_.at(h.bitmapOff + c);
-        uint64_t words[kChunk / 8];
+        // Allocation words 0-3; the start words 4-7 are read with them
+        // but free runs are a matter of allocation bits alone.
+        uint64_t words[kBitmapLine / 8];
         std::memset(words, 0xff, sizeof(words));
-        bool bad = pool_.isTainted(src, n);
+        bool bad = pool_.isTainted(src, kBitmapLine);
         if (!bad) {
             try {
-                pool_.checkRead(src, n);
+                pool_.checkRead(src, kBitmapLine);
             } catch (const nvm::MediaFaultError&) {
                 bad = true;
             }
         }
         if (!bad) {
-            std::memcpy(words, src, n);
+            std::memcpy(words, src, kBitmapLine);
         } else {
-            // A chunk that cannot be read (poison) or was bit-flipped
+            // A line that cannot be read (poison) or was bit-flipped
             // (taint) cannot tell its allocated granules from its free
-            // ones: the whole 8 KiB it administers is quarantined, the
-            // chunk rewritten all-ones (which also heals the line) and
-            // none of it enters the free map.
+            // ones: the whole 4 KiB it administers is quarantined, the
+            // line rewritten all-ones (which also heals it: every
+            // granule allocated and a block start, so a block running
+            // in from the previous line ends at the line) and none of
+            // it enters the free map.
             uint64_t bytes = (lastG - firstG) * kGranule;
-            pool_.writeAt(h.bitmapOff + c, words, n);
-            pool_.flush(src, n);
+            pool_.writeAt(h.bitmapOff + c, words, kBitmapLine);
+            pool_.flush(src, kBitmapLine);
             wroteBits = true;
             quarantineLocked(h.dataOff + firstG * kGranule, bytes,
                              kQuarPoisonedBitmap);
@@ -584,7 +629,7 @@ PmAllocator::scanLocked(uint64_t end, RebuildStats* st)
         // Granules past the data area and quarantined ranges read as
         // allocated: quarantined granules never re-enter the free map,
         // even if their persistent bits were somehow cleared since.
-        setLocalBits(words, lastG - firstG, kChunk * 8);
+        setLocalBits(words, lastG - firstG, kLineGranules);
         uint32_t quarCount =
             std::min(qt->count, QuarantineTable::kCapacity);
         for (uint32_t i = 0; i < quarCount; i++) {
@@ -600,7 +645,7 @@ PmAllocator::scanLocked(uint64_t end, RebuildStats* st)
         }
         // Step a word (64 granules) at a time over all-allocated and
         // all-free words; only mixed words walk their bit transitions.
-        for (uint64_t k = 0; k < kChunk / 8; k++) {
+        for (uint64_t k = 0; k < kLineGranules / 64; k++) {
             uint64_t w = words[k];
             uint64_t g0 = firstG + k * 64;
             if (w == ~0ULL) {
@@ -636,7 +681,8 @@ PmAllocator::scanLocked(uint64_t end, RebuildStats* st)
     // The continuation run of the next step coalesces with this
     // extent in insertFreeExtentLocked, so no fragmentation survives.
     if (inRun)
-        closeRun(std::min(scanCursor_ * 8, nGranules));
+        closeRun(std::min(scanCursor_ / kBitmapLine * kLineGranules,
+                          nGranules));
     if (wroteBits)
         pool_.fence();
 }
@@ -706,10 +752,10 @@ PmAllocator::lazyRebuildActive() const
 }
 
 bool
-PmAllocator::lazyStep(uint64_t chunks)
+PmAllocator::lazyStep(uint64_t lines)
 {
     std::lock_guard<std::mutex> g(mu_);
-    return !lazyActive_ || lazyStepLocked(chunks);
+    return !lazyActive_ || lazyStepLocked(lines);
 }
 
 bool
@@ -719,14 +765,15 @@ PmAllocator::scannedLocked(uint64_t bOff, uint64_t granules) const
         return true;
     const AllocHeader& h = hdr();
     uint64_t lastG = (bOff - h.dataOff) / kGranule + granules - 1;
-    return lastG / 8 < scanCursor_;
+    return lastG / kLineGranules * kBitmapLine < scanCursor_;
 }
 
 bool
-PmAllocator::lazyStepLocked(uint64_t chunks)
+PmAllocator::lazyStepLocked(uint64_t lines)
 {
     uint64_t used = usedBitmapBytes();
-    scanLocked(std::min(used, scanCursor_ + chunks * 64), &lazyStats_);
+    scanLocked(std::min(used, scanCursor_ + lines * kBitmapLine),
+               &lazyStats_);
     if (scanCursor_ >= used)
         lazyScanDone_ = true;
     return lazyScanDone_;

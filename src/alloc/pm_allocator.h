@@ -15,20 +15,30 @@
  *    free map is rebuilt from the (unchanged) bitmap first, so recovery
  *    is deterministic.
  *
- * Persistent layout inside the pool's heap region (pool version 2):
+ * Persistent layout inside the pool's heap region (pool version 3):
  *
- *   [ AllocHeader | quarantine table | bitmap (1 bit / 16-byte
- *     granule) | data ]
+ *   [ AllocHeader | quarantine table | bitmap | data ]
  *
- * Every block is preceded by a 16-byte header recording its payload
- * size (needed by free and by bit reverts).
+ * Blocks carry no header (like the `none` header type of PMDK's small
+ * allocation classes): a block is a run of whole 16-byte granules and
+ * the bitmap alone records where it lies. The bitmap is a sequence of
+ * 64-byte lines, each administering 256 granules (4 KiB of data):
  *
- * The quarantine table (PR 5) records heap ranges whose media went
- * bad — a poisoned bitmap chunk, a block header that fails its
- * checksum during salvage. Quarantined ranges have their bitmap bits
- * forced allocated and the persistent table keeps rebuild() from ever
- * returning them to the free map, so a bad cell can never be handed
- * out again.
+ *   [ 32 allocation-bit bytes | 32 start-bit bytes ]
+ *
+ * An allocation bit is set on every granule of a committed block, a
+ * start bit on its first granule only. A block's length is therefore
+ * its run of allocated granules up to the next start bit or free
+ * granule. Both halves of a granule's state share a line, so one
+ * flush persists an allocation or a free and one poisoned line takes
+ * out both; a block whose granules one line administers costs one
+ * flushed line.
+ *
+ * The quarantine table records heap ranges whose media went
+ * bad — a poisoned bitmap line, a free naming an offset where no
+ * block starts. Quarantined ranges have their allocation bits forced
+ * set and the persistent table keeps rebuild() from ever returning
+ * them to the free map, so a bad cell can never be handed out again.
  */
 #ifndef CNVM_ALLOC_PM_ALLOCATOR_H
 #define CNVM_ALLOC_PM_ALLOCATOR_H
@@ -44,6 +54,11 @@
 namespace cnvm::alloc {
 
 constexpr uint64_t kGranule = 16;
+/** Bytes of one bitmap line, and the granules it administers. */
+constexpr uint64_t kBitmapLine = 64;
+constexpr uint64_t kLineGranules = 256;
+/** Offset of a line's start-bit half (its allocation bits come first). */
+constexpr uint64_t kStartBitsOff = 32;
 
 /** Persistent header at the start of the heap region. */
 struct AllocHeader {
@@ -55,16 +70,10 @@ struct AllocHeader {
     uint64_t quarOff;      ///< pool offset of the quarantine table
 };
 
-/** Per-block persistent header (16 bytes, precedes the payload). */
-struct BlockHeader {
-    uint64_t payloadBytes;
-    uint64_t check;        ///< payloadBytes ^ kBlockMagic
-};
-
 /** Why a heap range was quarantined. */
 enum QuarantineReason : uint32_t {
-    kQuarPoisonedBitmap = 1,  ///< its bitmap chunk is unreadable
-    kQuarCorruptHeader = 2,   ///< block header failed its checksum
+    kQuarPoisonedBitmap = 1,  ///< its bitmap line is unreadable
+    kQuarCorruptBlock = 2,    ///< no block starts where one was named
     kQuarPoisonedData = 3,    ///< data lines raised media faults
 };
 
@@ -90,8 +99,10 @@ uint64_t quarantineChecksum(uint32_t count,
                             const QuarantineEntry* entries);
 
 /**
- * A block header failed its checksum (thrown by payloadSize instead of
- * aborting the process: recovery quarantines the block and goes on).
+ * No block starts at the named offset: its granule is free, or
+ * allocated without a start bit (thrown by payloadSize instead of
+ * aborting the process: recovery quarantines the granule and goes
+ * on).
  */
 class CorruptBlockError : public FatalError {
  public:
@@ -108,7 +119,7 @@ class CorruptBlockError : public FatalError {
 struct RebuildStats {
     uint64_t quarantinedBlocks = 0;   ///< newly quarantined ranges
     uint64_t quarantinedBytes = 0;
-    uint64_t poisonedChunks = 0;      ///< unreadable bitmap chunks
+    uint64_t poisonedChunks = 0;      ///< unreadable bitmap lines
     bool quarantineTableReset = false;///< table itself was corrupt
     bool headerHealed = false;        ///< AllocHeader recomputed
 };
@@ -116,7 +127,6 @@ struct RebuildStats {
 class PmAllocator {
  public:
     static constexpr uint64_t kMagic = 0xA110CA7EDB17ull;
-    static constexpr uint64_t kBlockMagic = 0xB10CB10CB10CB10Cull;
 
     /**
      * Attach to (formatting if necessary) the pool's heap region.
@@ -131,52 +141,58 @@ class PmAllocator {
     PmAllocator& operator=(const PmAllocator&) = delete;
 
     /**
-     * Volatile-reserve a block with `payload` usable bytes.
-     * @return pool offset of the payload (16-byte aligned).
+     * Volatile-reserve a block of at least `payload` usable bytes,
+     * rounded up to whole granules. Writes nothing to the pool.
+     * @return pool offset of the block (16-byte aligned).
      */
     uint64_t reserve(size_t payload);
 
-    /** Roll back a reservation that never committed. */
+    /** Roll back a reservation that never committed (a no-op for
+     *  one a fresh-process rebuild already dropped). */
     void releaseReservation(uint64_t payloadOff);
 
     /**
-     * Payload size recorded in the block header.
-     * @throws CorruptBlockError if the header fails its checksum;
-     *         nvm::MediaFaultError if its line is poisoned.
+     * Usable bytes of the block that starts at `payloadOff`: a live
+     * reservation's rounded size, else the committed block's run of
+     * granules read from the bitmap.
+     * @throws CorruptBlockError if no block starts there;
+     *         nvm::MediaFaultError if a bitmap line it reads is
+     *         poisoned.
      */
     size_t payloadSize(uint64_t payloadOff) const;
 
     /**
-     * Commit a reservation: set its bitmap bits and flush them (plus
-     * the block header). The caller issues the ordering fence.
+     * Commit a reservation: set its allocation bits and its start bit
+     * and flush them. The caller issues the ordering fence.
      */
     void persistAllocate(uint64_t payloadOff);
 
     /**
-     * Commit a deferred free: clear bitmap bits, flush, and return the
-     * space to the volatile free map. Caller issues the fence.
+     * Commit a deferred free: clear its allocation and start bits,
+     * flush, and return the space to the volatile free map (unless it
+     * touches a quarantined range). Caller issues the fence.
      */
     void persistFree(uint64_t payloadOff);
 
     /**
      * persistFree with the payload size supplied by the caller's
      * intent table — trusts nothing on the media, so a block whose
-     * header line went bad can still be freed at commit.
+     * bitmap line went bad can still be freed at commit.
      */
     void persistFree(uint64_t payloadOff, size_t payloadBytes);
 
     /**
-     * Recovery: force the bitmap bits of a block to `allocated`.
-     * Idempotent; used when replaying/reverting intent logs. The size
-     * comes from the caller's intent table — the block header itself
-     * may have been torn by the crash.
+     * Recovery: force a block's allocation bits to `allocated` and
+     * its start bit with them. Idempotent; used when replaying or
+     * reverting intent logs. The size comes from the caller's intent
+     * table — the bitmap itself may have been torn by the crash.
      */
     void revertBits(uint64_t payloadOff, size_t payloadBytes,
                     bool allocated);
 
     /**
      * Rebuild the volatile free map from the persistent bitmap.
-     * Bitmap chunks that are poisoned or tainted are quarantined (the
+     * Bitmap lines that are poisoned or tainted are quarantined (the
      * granules they administer are forced allocated, persistently)
      * rather than trusted; already-quarantined ranges never re-enter
      * the free map. @return what this pass salvaged.
@@ -205,7 +221,7 @@ class PmAllocator {
      * bitmap: discard all volatile state (fresh-process semantics),
      * heal the header and quarantine table — the O(1) prefix of
      * rebuild() — and leave the free map empty. reserve() then pulls
-     * chunks of the bitmap scan on demand; rebuild(true) reconciles at
+     * lines of the bitmap scan on demand; rebuild(true) reconciles at
      * the end. Bounded by metadata size, not pool size.
      */
     void beginLazyRebuild();
@@ -214,12 +230,12 @@ class PmAllocator {
     bool lazyRebuildActive() const;
 
     /**
-     * Pull up to `chunks` 64-byte chunks (512 granules each) of an
-     * armed lazy rebuild's bitmap scan into the free map; reserve()
-     * pulls 64 at a time on demand. @return true once the scan has
+     * Pull up to `lines` bitmap lines (256 granules each) of an armed
+     * lazy rebuild's bitmap scan into the free map; reserve() pulls
+     * 128 at a time on demand. @return true once the scan has
      * consumed the whole bitmap (or no lazy rebuild is armed).
      */
-    bool lazyStep(uint64_t chunks);
+    bool lazyStep(uint64_t lines);
 
     /**
      * Pin [off, off+bytes) out of the free map until releaseHolds(tid)
@@ -236,9 +252,11 @@ class PmAllocator {
     size_t holdCount() const;
 
     /**
-     * Persistently quarantine [payloadOff-16, ...) covering `bytes`
-     * of payload: record a table entry and force the bitmap bits
-     * allocated. Idempotent for an already-covered range.
+     * Persistently quarantine [blockOff, blockOff+bytes): record a
+     * table entry, force the allocation bits of every granule it
+     * overlaps and set the start bit of the first (so a block ending
+     * just before it ends there). Idempotent for an already-covered
+     * range.
      */
     void quarantine(uint64_t blockOff, uint64_t bytes,
                     QuarantineReason reason);
@@ -279,30 +297,40 @@ class PmAllocator {
     void quarantineLocked(uint64_t off, uint64_t bytes,
                           QuarantineReason reason);
     bool isQuarantinedLocked(uint64_t off, uint64_t n) const;
-    uint64_t blockOff(uint64_t payloadOff) const
+    /** Index of the granule at pool offset `off`. */
+    uint64_t granuleOf(uint64_t off) const
     {
-        return payloadOff - sizeof(BlockHeader);
+        return (off - hdr().dataOff) / kGranule;
     }
-    uint64_t blockGranules(uint64_t payloadOff) const;
-    void setBits(uint64_t blockOff, uint64_t granules, bool value,
-                 bool flushBits);
+    /** Granules of the committed block starting at `off` (bitmap). */
+    uint64_t blockGranulesLocked(uint64_t off) const;
+    /** What writeBitsLocked does to a granule range. */
+    enum class BitOp {
+        allocate,    ///< allocation bits set, start bit on the first only
+        free,        ///< allocation and start bits cleared
+        quarantine,  ///< allocation bits set, start bit set on the first
+    };
+    /** Apply `op` to granules [firstG, firstG+granules): one
+     *  read-modify-write of each half a line holds, one flush per line. */
+    void writeBitsLocked(uint64_t firstG, uint64_t granules, BitOp op);
     void insertFreeExtentLocked(uint64_t off, uint64_t len);
     /** insertFreeExtentLocked minus hold/reservation overlaps. */
     void insertFreeRunMaskedLocked(uint64_t off, uint64_t len);
     uint64_t reserveLocked(uint64_t need);
     void healMetaLocked(RebuildStats* st);
-    /** Bitmap bytes that administer data granules. */
+    /** Bitmap bytes (whole lines) that administer data granules. */
     uint64_t usedBitmapBytes() const;
     /**
      * The one bitmap scanner behind rebuild() and the lazy steps:
-     * consume bitmap bytes [scanCursor_, end) in guarded 64-byte
-     * chunks — salvaging unreadable ones into `st`, forcing
-     * quarantined granules allocated — and insert every free run it
-     * finds, the run still open at `end` included. Steps 64 granules
-     * at a time over all-allocated and all-free words.
+     * consume bitmap bytes [scanCursor_, end) one guarded line at a
+     * time — salvaging unreadable ones into `st`, forcing quarantined
+     * granules allocated — and insert every free run the allocation
+     * bits show, the run still open at `end` included. Start bits do
+     * not bound free space and are skipped. Steps 64 granules at a
+     * time over all-allocated and all-free words.
      */
     void scanLocked(uint64_t end, RebuildStats* st);
-    bool lazyStepLocked(uint64_t chunks);
+    bool lazyStepLocked(uint64_t lines);
     bool scannedLocked(uint64_t blockOff, uint64_t granules) const;
 
     /** A heap range pinned until its owning slot heals. */
@@ -318,7 +346,7 @@ class PmAllocator {
     std::map<uint64_t, uint64_t> free_;
     /** length -> offset index for best-fit */
     std::multimap<uint64_t, uint64_t> bySize_;
-    /** block offset -> total bytes of live volatile reservations (bits
+    /** block offset -> bytes of live volatile reservations (bits
      *  still clear on media; a concurrent rebuild must not free them) */
     std::map<uint64_t, uint64_t> reserved_;
     std::vector<Hold> holds_;

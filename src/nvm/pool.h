@@ -91,8 +91,10 @@ struct PoolHeader {
 class Pool {
  public:
     static constexpr uint64_t kMagic = 0xC10BBE12A112F00DULL;
-    /** v2: heap region gained the persistent quarantine table. */
-    static constexpr uint64_t kVersion = 2;
+    /** v2: heap region gained the persistent quarantine table.
+     *  v3: heap blocks lost their 16-byte header; a start bitmap,
+     *  interleaved with the allocation bitmap, records block bounds. */
+    static constexpr uint64_t kVersion = 3;
 
     /** Create and format a new pool (truncates an existing file). */
     static std::unique_ptr<Pool> create(const PoolConfig& cfg);

@@ -121,10 +121,11 @@ AtlasRuntime::txCommit(unsigned tid)
     appendLockRecord(tid, /* release */ 3);
     appendDepRecord(tid);
     UndoRuntime::txCommit(tid);
-    if (++commitsSincePrune_ >= kPruneInterval) {
-        commitsSincePrune_ = 0;
+    // Every committing thread counts; exactly one of them prunes per
+    // interval (pruneLogs takes its own lock).
+    if ((commits_.fetch_add(1, std::memory_order_relaxed) +
+         1) % kPruneInterval == 0)
         pruneLogs();
-    }
 }
 
 }  // namespace cnvm::rt

@@ -22,6 +22,8 @@
 #ifndef CNVM_RUNTIMES_ATLAS_H
 #define CNVM_RUNTIMES_ATLAS_H
 
+#include <atomic>
+
 #include "runtimes/undo.h"
 #include "sim/lock.h"
 
@@ -62,7 +64,9 @@ class AtlasRuntime : public UndoRuntime {
     size_t depIndex_ = 0;
     sim::SimMutex depSimLock_;
     std::mutex depRealLock_;
-    uint64_t commitsSincePrune_ = 0;
+    /** Commits by all threads; a prune runs at each multiple of
+     *  kPruneInterval. */
+    std::atomic<uint64_t> commits_{0};
 };
 
 }  // namespace cnvm::rt

@@ -234,9 +234,9 @@ RuntimeBase::finishIntentsAfterCommit(unsigned tid)
     if (s.actions.empty())
         return;
     // Free with the sizes recorded in the (just-persisted) intent
-    // table rather than re-reading block headers: the table is the
-    // authority, and a header whose media went bad must not be able
-    // to fail a commit that already passed its commit point.
+    // table rather than re-reading the bitmap: the table is the
+    // authority, and a bitmap line whose media went bad must not be
+    // able to fail a commit that already passed its commit point.
     TxDescriptor& d = desc(tid);
     bool anyFree = false;
     for (uint32_t i = 0; i < d.intentCount; i++) {
@@ -558,10 +558,8 @@ RuntimeBase::recoveryTriage()
                 const AllocIntent& in = d.intents[i];
                 txn::HoldRange h;
                 h.tid = tid;
-                h.off = in.payloadOff - sizeof(alloc::BlockHeader);
-                h.bytes = (sizeof(alloc::BlockHeader) +
-                               in.payloadBytes +
-                           alloc::kGranule - 1) /
+                h.off = in.payloadOff;
+                h.bytes = (in.payloadBytes + alloc::kGranule - 1) /
                           alloc::kGranule * alloc::kGranule;
                 idx.holds.push_back(h);
             }
@@ -684,9 +682,8 @@ RuntimeBase::alloc(unsigned tid, size_t n)
     // Fresh memory is not a transaction input: pre-mark its blocks as
     // written so no runtime ever logs stores into it (PMDK does not
     // undo-log TX_NEW'd objects either).
-    size_t payload = heap_.payloadSize(off);
     uint64_t first = off / kBlock;
-    uint64_t last = (off + payload - 1) / kBlock;
+    uint64_t last = (off + n - 1) / kBlock;
     for (uint64_t b = first; b <= last; b++) {
         s.blocks.ref(b) |=
             BlockMap::kWritten | BlockMap::kRegionWritten;

@@ -251,11 +251,11 @@ ClobberRuntime::reexecuteGuarded(unsigned tid)
         // resolution as a voluntary abort: restore and abandon.
         abortReexecution(tid, e.what());
     } catch (const alloc::CorruptBlockError& e) {
-        // Commit-time intent persist tripped on a block whose
-        // header no longer validates; wall it off so the damage
+        // Commit-time intent persist named a free where the bitmap
+        // shows no block start; wall the granule off so the damage
         // cannot spread through the free list.
-        heap_.quarantine(e.payloadOff() - sizeof(alloc::BlockHeader),
-                         alloc::kGranule, alloc::kQuarCorruptHeader);
+        heap_.quarantine(e.payloadOff(), alloc::kGranule,
+                         alloc::kQuarCorruptBlock);
         if (report_ != nullptr) {
             report_->quarantinedBlocks++;
             report_->quarantinedBytes += alloc::kGranule;

@@ -8,22 +8,14 @@
 namespace cnvm::rt {
 
 void
-IdoRuntime::txBegin(unsigned tid, txn::FuncId fid,
-                    std::span<const uint8_t> args)
-{
-    ClobberRuntime::txBegin(tid, fid, args);
-    pendingArgBytes_ = args.size();
-}
-
-void
-IdoRuntime::beganPersistently(unsigned)
+IdoRuntime::beganPersistently(unsigned tid)
 {
     // iDO keeps the stack in NVM instead of copying volatile inputs at
-    // FASE begin; account the equivalent bytes plus the initial
-    // boundary record.
+    // FASE begin; account the equivalent bytes (this slot's staged
+    // arguments) plus the initial boundary record.
     stats::bump(stats::Counter::idoEntries);
     stats::bump(stats::Counter::idoBytes,
-                kRegisterSnapshotBytes + pendingArgBytes_);
+                kRegisterSnapshotBytes + slot(tid).volatileArgs.size());
 }
 
 void

@@ -48,8 +48,6 @@ class IdoRuntime : public ClobberRuntime {
         return txn::RuntimeKind::ido;
     }
 
-    void txBegin(unsigned tid, txn::FuncId fid,
-                 std::span<const uint8_t> args) override;
     void store(unsigned tid, void* dst, const void* src,
                size_t n) override;
     void load(unsigned tid, void* dst, const void* src,
@@ -57,9 +55,6 @@ class IdoRuntime : public ClobberRuntime {
 
  protected:
     void beganPersistently(unsigned tid) override;
-
- private:
-    size_t pendingArgBytes_ = 0;
 };
 
 }  // namespace cnvm::rt

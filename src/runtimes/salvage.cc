@@ -1,5 +1,6 @@
 #include "runtimes/salvage.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "alloc/pm_allocator.h"
@@ -297,9 +298,12 @@ verifyPool(nvm::Pool& pool)
         note(strprintf("heap: %u quarantined ranges", qt->count));
     }
 
-    // Walk allocated bitmap runs and validate each run's leading
-    // block header. A run that starts inside a quarantined range is
-    // exempt: its header is exactly what went bad.
+    // Walk the bitmap and check that its two halves agree: a start
+    // bit only on an allocated granule, and a start bit leading every
+    // allocated run — blocks have no header, so the bitmap alone
+    // bounds them. A run that starts inside a quarantined range is
+    // exempt (its bits were forced), and an unreadable line reads as
+    // rebuild rewrites it: every granule allocated and a block start.
     auto quarantined = [&](uint64_t off) {
         if (qt->count > alloc::QuarantineTable::kCapacity)
             return false;
@@ -310,38 +314,44 @@ verifyPool(nvm::Pool& pool)
         }
         return false;
     };
+    uint64_t nGranules = ah->dataBytes / alloc::kGranule;
+    if (nGranules > ah->bitmapBytes / alloc::kBitmapLine *
+                        alloc::kLineGranules) {
+        problem("heap: bitmap too small for the data area");
+        return r;
+    }
     const auto* bitmap =
         static_cast<const uint8_t*>(pool.at(ah->bitmapOff));
-    uint64_t nGranules = ah->dataBytes / alloc::kGranule;
-    bool inRun = false;
-    uint64_t badHeaders = 0;
-    for (uint64_t i = 0; i <= nGranules; i++) {
-        bool allocated = false;
-        if (i < nGranules &&
-            readable(&pool, bitmap + i / 8, 1)) {
-            allocated = (bitmap[i / 8] & (1u << (i % 8))) != 0;
-        }
-        if (allocated && !inRun) {
-            inRun = true;
-            uint64_t bOff = ah->dataOff + i * alloc::kGranule;
-            if (!quarantined(bOff)) {
-                const auto* bh =
-                    static_cast<const alloc::BlockHeader*>(
-                        pool.at(bOff));
-                if (!readable(&pool, bh, sizeof(*bh)) ||
-                    (bh->payloadBytes ^
-                     alloc::PmAllocator::kBlockMagic) != bh->check) {
-                    badHeaders++;
-                }
-            }
-        } else if (!allocated) {
-            inRun = false;
+    uint64_t startsOnFree = 0;
+    uint64_t runsWithoutStart = 0;
+    bool prevAllocated = false;
+    for (uint64_t g0 = 0; g0 < nGranules; g0 += alloc::kLineGranules) {
+        const uint8_t* line = bitmap + g0 / alloc::kLineGranules *
+                                           alloc::kBitmapLine;
+        bool ok = readable(&pool, line, alloc::kBitmapLine);
+        uint64_t n = std::min(alloc::kLineGranules, nGranules - g0);
+        for (uint64_t i = 0; i < n; i++) {
+            auto bit = static_cast<uint8_t>(1u << (i % 8));
+            bool allocated = !ok || (line[i / 8] & bit) != 0;
+            bool start =
+                !ok || (line[alloc::kStartBitsOff + i / 8] & bit) != 0;
+            if (start && !allocated)
+                startsOnFree++;
+            else if (allocated && !start && !prevAllocated &&
+                     !quarantined(ah->dataOff + (g0 + i) *
+                                                    alloc::kGranule))
+                runsWithoutStart++;
+            prevAllocated = allocated;
         }
     }
-    if (badHeaders > 0)
-        problem(strprintf("heap: %llu allocated runs with corrupt or "
-                          "poisoned block headers",
-                          static_cast<unsigned long long>(badHeaders)));
+    if (startsOnFree > 0)
+        problem(strprintf("heap: %llu start bits on free granules",
+                          static_cast<unsigned long long>(
+                              startsOnFree)));
+    if (runsWithoutStart > 0)
+        problem(strprintf("heap: %llu allocated runs with no start bit",
+                          static_cast<unsigned long long>(
+                              runsWithoutStart)));
     return r;
 }
 

@@ -108,7 +108,7 @@ struct VerifyResult {
 /**
  * Walk an open pool read-only: header bounds, per-slot descriptor and
  * log checksums (via scanLogArea), allocator header, quarantine
- * table, and the block headers of allocated extents. Never mutates
+ * table, and the agreement of start and allocation bits. Never mutates
  * the pool and never constructs a PmAllocator (which would format a
  * heap whose header is damaged — exactly what we want to report).
  */

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "alloc/pm_allocator.h"
@@ -38,7 +40,7 @@ TEST_F(AllocTest, ReserveAlignedAndSized)
 {
     uint64_t a = heap->reserve(100);
     EXPECT_EQ(a % 16, 0u);
-    EXPECT_EQ(heap->payloadSize(a), 100u);
+    EXPECT_EQ(heap->payloadSize(a), 112u);
     uint64_t b = heap->reserve(100);
     EXPECT_NE(a, b);
 }
@@ -82,10 +84,10 @@ TEST_F(AllocTest, CommittedAllocationSurvivesRebuild)
     pool->fence();
     heap->rebuild();
     EXPECT_LT(heap->freeBytes(), before);
-    EXPECT_EQ(heap->payloadSize(a), 1000u);
+    EXPECT_EQ(heap->payloadSize(a), 1008u);
     // And a fresh reservation must not land inside it.
     uint64_t b = heap->reserve(1000);
-    EXPECT_TRUE(b + 1000 <= a - 16 || a + 1000 <= b - 16);
+    EXPECT_TRUE(b + 1008 <= a || a + 1008 <= b);
 }
 
 TEST_F(AllocTest, PersistFreeReturnsSpaceAcrossRebuild)
@@ -151,40 +153,13 @@ TEST_F(AllocTest, ReattachFindsExistingHeap)
     EXPECT_NE(a, b);
 }
 
-TEST_F(AllocTest, CorruptBlockHeaderThrowsInsteadOfAborting)
-{
-    // Satellite regression: a hand-corrupted block header used to hit
-    // CNVM_CHECK and terminate the process; it must now surface as a
-    // typed, catchable error.
-    uint64_t a = heap->reserve(256);
-    heap->persistAllocate(a);
-    pool->fence();
-    BlockHeader bad{};
-    bad.payloadBytes = 256;
-    bad.check = 0xdeadbeef;  // wrong: != payloadBytes ^ kBlockMagic
-    std::memcpy(pool->base() + a - sizeof(BlockHeader), &bad,
-                sizeof(bad));
-    EXPECT_THROW(heap->payloadSize(a), CorruptBlockError);
-    EXPECT_THROW(heap->persistFree(a), CorruptBlockError);
-    try {
-        heap->payloadSize(a);
-    } catch (const CorruptBlockError& e) {
-        EXPECT_EQ(e.payloadOff(), a);
-    }
-    // The sized overload trusts the caller's intent table and still
-    // frees the block without consulting the bad header.
-    heap->persistFree(a, 256);
-    pool->fence();
-}
-
 TEST_F(AllocTest, QuarantinePersistsAcrossReattach)
 {
     uint64_t a = heap->reserve(4096);
     heap->persistAllocate(a);
     pool->fence();
     size_t freeBefore = heap->freeBytes();
-    heap->quarantine(a - sizeof(BlockHeader),
-                     4096 + sizeof(BlockHeader), kQuarPoisonedData);
+    heap->quarantine(a, 4096, kQuarPoisonedData);
     EXPECT_TRUE(heap->isQuarantined(a, 1));
     EXPECT_FALSE(heap->quarantineViolation());
 
@@ -199,8 +174,7 @@ TEST_F(AllocTest, QuarantinePersistsAcrossReattach)
     EXPECT_LE(again.freeBytes(), freeBefore);
     for (int i = 0; i < 64; i++) {
         uint64_t b = again.reserve(512);
-        EXPECT_TRUE(b + 512 <= a - sizeof(BlockHeader) ||
-                    b >= a + 4096);
+        EXPECT_TRUE(b + 512 <= a || b >= a + 4096);
         again.persistAllocate(b);
     }
     pool->fence();
@@ -211,9 +185,9 @@ TEST_F(AllocTest, QuarantineIsIdempotentForCoveredRanges)
     uint64_t a = heap->reserve(1024);
     heap->persistAllocate(a);
     pool->fence();
-    heap->quarantine(a - sizeof(BlockHeader), 1024, kQuarCorruptHeader);
+    heap->quarantine(a, 1024, kQuarCorruptBlock);
     uint32_t n = heap->quarantineCount();
-    heap->quarantine(a - sizeof(BlockHeader), 1024, kQuarCorruptHeader);
+    heap->quarantine(a, 1024, kQuarCorruptBlock);
     EXPECT_EQ(heap->quarantineCount(), n);
 }
 
@@ -226,8 +200,8 @@ TEST_F(AllocTest, PoisonedBitmapChunkIsQuarantinedOnRebuild)
     fc.poisons = 1;
     pool->setFaultModel(std::make_unique<nvm::FaultModel>(fc));
     // Poison the first line of the bitmap: rebuild must not trust the
-    // chunk — it rewrites it all-allocated and quarantines the
-    // granules that chunk administers.
+    // line — it rewrites it all-allocated and quarantines the
+    // granules that line administers.
     pool->faults()->poisonAt(heap->bitmapOff());
     RebuildStats st = heap->rebuild();
     EXPECT_GT(st.poisonedChunks, 0u);
@@ -266,12 +240,14 @@ TEST_F(AllocTest, FlippedAllocHeaderIsHealedOnRebuild)
 
 TEST_F(AllocTest, QuarantineForcesEveryOverlappedGranule)
 {
-    // A range that starts mid-granule overlaps two granules.
+    // A range that starts mid-granule overlaps two granules; the
+    // first also gets a start bit.
     heap->quarantine(heap->dataOff() + kGranule / 2, kGranule,
-                     kQuarCorruptHeader);
+                     kQuarCorruptBlock);
     const auto* bitmap =
         static_cast<const uint8_t*>(pool->at(heap->bitmapOff()));
     EXPECT_EQ(bitmap[0], 0x3);
+    EXPECT_EQ(bitmap[kStartBitsOff], 0x1);
     heap->rebuild();
     EXPECT_FALSE(heap->quarantineViolation());
     EXPECT_EQ(heap->freeBytes(), heap->dataBytes() - 2 * kGranule);
@@ -295,18 +271,120 @@ TEST_F(AllocTest, FreshRebuildIsNotRepeatedButSeesMediaEvents)
     pool->faults()->poisonAt(heap->bitmapOff() + 64);
     RebuildStats st = heap->rebuild();
     EXPECT_EQ(st.poisonedChunks, 1u);
-    EXPECT_EQ(heap->freeBytes(), fresh - 512 * kGranule);
+    EXPECT_EQ(heap->freeBytes(), fresh - kLineGranules * kGranule);
 
     // A crash since the last scan may have reverted bitmap words: a
     // volatile bitmap write seen by a new allocator's scan is gone
-    // after the crash, and the next rebuild must notice.
+    // after the crash, and the next rebuild must notice. (The word
+    // holds the allocation bits of the next line's first 64 granules.)
     uint64_t ones = ~0ULL;
     pool->writeAt(heap->bitmapOff() + 128, &ones, sizeof(ones));
     PmAllocator reopened(*pool);
-    EXPECT_EQ(reopened.freeBytes(), fresh - 576 * kGranule);
+    EXPECT_EQ(reopened.freeBytes(),
+              fresh - (kLineGranules + 64) * kGranule);
     pool->cache().crashAllLost();
     reopened.rebuild();
-    EXPECT_EQ(reopened.freeBytes(), fresh - 512 * kGranule);
+    EXPECT_EQ(reopened.freeBytes(), fresh - kLineGranules * kGranule);
+}
+
+// ---------------------------------------------------------------------
+// Header-less blocks: the bitmap's start bits bound every block.
+
+struct GranuleBits {
+    bool allocated;
+    bool start;
+};
+
+GranuleBits
+bitsAt(const nvm::Pool& pool, const PmAllocator& heap, uint64_t off)
+{
+    uint64_t g = (off - heap.dataOff()) / kGranule;
+    const auto* line = static_cast<const uint8_t*>(pool.at(
+        heap.bitmapOff() + g / kLineGranules * kBitmapLine));
+    uint64_t i = g % kLineGranules;
+    auto bit = static_cast<uint8_t>(1u << (i % 8));
+    return {(line[i / 8] & bit) != 0,
+            (line[kStartBitsOff + i / 8] & bit) != 0};
+}
+
+TEST_F(AllocTest, BackToBackItemsSpanExactlyTheirBytes)
+{
+    // A KV item (32-byte header, 16-byte key, 64-byte value) is seven
+    // granules with no header granule; 100 of them cross bitmap lines.
+    constexpr uint64_t kItem = 112;
+    constexpr uint64_t kN = 100;
+    size_t before = heap->freeBytes();
+    std::vector<uint64_t> offs;
+    for (uint64_t i = 0; i < kN; i++) {
+        offs.push_back(heap->reserve(kItem));
+        heap->persistAllocate(offs.back());
+    }
+    pool->fence();
+    EXPECT_EQ(offs.back() + kItem - offs.front(), kN * kItem);
+    heap->rebuild();
+    EXPECT_EQ(before - heap->freeBytes(), kN * kItem);
+    for (uint64_t i = 0; i < kN; i++) {
+        EXPECT_EQ(offs[i], offs.front() + i * kItem);
+        EXPECT_EQ(heap->payloadSize(offs[i]), kItem);
+    }
+}
+
+TEST_F(AllocTest, FreeingFirstOfTwoTouchingBlocksKeepsTheSecond)
+{
+    uint64_t a = heap->reserve(112);
+    uint64_t b = heap->reserve(112);
+    ASSERT_EQ(b, a + 112);
+    heap->persistAllocate(a);
+    heap->persistAllocate(b);
+    pool->fence();
+    heap->persistFree(a);
+    pool->fence();
+    for (uint64_t off = a; off < b; off += kGranule) {
+        GranuleBits x = bitsAt(*pool, *heap, off);
+        EXPECT_FALSE(x.allocated) << off - a;
+        EXPECT_FALSE(x.start) << off - a;
+    }
+    for (uint64_t off = b; off < b + 112; off += kGranule) {
+        GranuleBits x = bitsAt(*pool, *heap, off);
+        EXPECT_TRUE(x.allocated) << off - b;
+        EXPECT_EQ(x.start, off == b) << off - b;
+    }
+    EXPECT_EQ(heap->payloadSize(b), 112u);
+    heap->rebuild();
+    EXPECT_EQ(heap->payloadSize(b), 112u);
+    EXPECT_THROW(heap->payloadSize(a), CorruptBlockError);
+}
+
+TEST_F(AllocTest, FreeWhereNoBlockStartsThrows)
+{
+    size_t start = heap->freeBytes();
+    uint64_t a = heap->reserve(256);
+    heap->persistAllocate(a);
+    pool->fence();
+    // Inside the block, and just past it (a free granule).
+    EXPECT_THROW(heap->persistFree(a + kGranule), CorruptBlockError);
+    EXPECT_THROW(heap->payloadSize(a + 256), CorruptBlockError);
+    // Clear the block's start bit: the run no longer names a block.
+    uint64_t g = (a - heap->dataOff()) / kGranule;
+    uint64_t startByte = heap->bitmapOff() +
+                         g / kLineGranules * kBitmapLine + kStartBitsOff +
+                         g % kLineGranules / 8;
+    auto v = static_cast<uint8_t>(
+        *static_cast<const uint8_t*>(pool->at(startByte)) &
+        ~(1u << (g % 8)));
+    pool->writeAt(startByte, &v, 1);
+    try {
+        heap->persistFree(a);
+        ADD_FAILURE() << "free of a block with no start bit succeeded";
+    } catch (const CorruptBlockError& e) {
+        EXPECT_EQ(e.payloadOff(), a);
+    }
+    // The sized overload trusts the caller's intent table and still
+    // frees the block without reading its bounds from the bitmap.
+    heap->persistFree(a, 256);
+    pool->fence();
+    heap->rebuild();
+    EXPECT_EQ(heap->freeBytes(), start);
 }
 
 // ---------------------------------------------------------------------
@@ -346,9 +424,9 @@ TEST(AllocFormat, FreshHeapFormatGrowsNoCacheModelState)
 {
     auto pool = nvm::Pool::create(poolConfig(512ULL << 20));
     PmAllocator heap(*pool);
-    // The ~4 MiB bitmap of a fresh pool already reads zero: the format
+    // The ~8 MiB bitmap of a fresh pool already reads zero: the format
     // writes only the quarantine table and the header.
-    EXPECT_GE(heap.bitmapBytes(), 3ULL << 20);
+    EXPECT_GE(heap.bitmapBytes(), 7ULL << 20);
     EXPECT_LE(pool->cache().maxShardSlots(), 64u);
     EXPECT_EQ(pool->cache().volatileLines(), 0u);
 }
@@ -439,14 +517,41 @@ TEST(AllocFormat, FaultyZeroBitmapLinesEndTheFormatHealed)
     EXPECT_EQ(heap.freeBytes(), want.dataBytes);
 }
 
+TEST(AllocFormat, VersionTwoPoolFailsToOpen)
+{
+    // A v2 pool's blocks carry 16-byte headers this layout cannot
+    // read: Pool::open must refuse it before PmAllocator could ever
+    // reformat its heap.
+    std::string path = ::testing::TempDir() + "cnvm_v2_heap.pool";
+    {
+        nvm::PoolConfig cfg = poolConfig(4 << 20);
+        cfg.path = path;
+        auto pool = nvm::Pool::create(cfg);
+        PmAllocator heap(*pool);
+        uint64_t v2 = 2;
+        pool->writeAt(offsetof(nvm::PoolHeader, version), &v2,
+                      sizeof(v2));
+        pool->persist(pool->at(offsetof(nvm::PoolHeader, version)),
+                      sizeof(v2));
+    }
+    try {
+        nvm::Pool::open(path);
+        ADD_FAILURE() << "a version-2 pool opened";
+    } catch (const nvm::PoolOpenError& e) {
+        EXPECT_EQ(e.reason(), nvm::PoolOpenError::Reason::badVersion);
+    }
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // The word-stepping bitmap scanner against a per-granule reference.
 
 struct ScanModel {
     std::unique_ptr<nvm::Pool> pool;
-    std::vector<uint8_t> bits;          ///< bitmap as written
+    /** Allocation bits as written, 32 bytes (256 granules) per line. */
+    std::vector<uint8_t> bits;
     std::vector<std::pair<uint64_t, uint64_t>> quar;  ///< [lo, hi)
-    uint64_t poisonedChunk = 0;
+    uint64_t poisonedLine = 0;
     uint64_t nGranules = 0;
     uint64_t dataOff = 0;
 
@@ -468,13 +573,14 @@ struct ScanModel {
             uint64_t lo = dataOff +
                           rng.nextUint(nGranules - len - 1) * kGranule +
                           (i == 5 ? kGranule / 2 : 0);
-            fmt.quarantine(lo, len * kGranule, kQuarCorruptHeader);
+            fmt.quarantine(lo, len * kGranule, kQuarCorruptBlock);
             quar.emplace_back(lo, lo + len * kGranule);
         }
         // Then overwrite the whole bitmap (quarantined bits included)
         // with stretches of all-ones, all-zero and mixed words; the
-        // last byte's bits past the data area are random too.
-        bits.assign((nGranules + 7) / 8, 0);
+        // last line's bits past the data area are random too.
+        uint64_t lines = (nGranules + kLineGranules - 1) / kLineGranules;
+        bits.assign(lines * (kLineGranules / 8), 0);
         for (size_t w = 0; w * 8 < bits.size();) {
             uint64_t kind = rng.nextUint(3);
             for (uint64_t n = 1 + rng.nextUint(40);
@@ -486,12 +592,23 @@ struct ScanModel {
                 std::memcpy(bits.data() + w * 8, &v, take);
             }
         }
-        pool->writeAt(fmt.bitmapOff(), bits.data(), bits.size());
-        pool->persist(pool->at(fmt.bitmapOff()), bits.size());
+        // Interleave: each line's allocation half, then a random start
+        // half the scan must ignore.
+        std::vector<uint8_t> image(lines * kBitmapLine);
+        for (uint64_t l = 0; l < lines; l++) {
+            std::memcpy(image.data() + l * kBitmapLine,
+                        bits.data() + l * kStartBitsOff, kStartBitsOff);
+            for (uint64_t i = 0; i < kStartBitsOff; i++)
+                image[l * kBitmapLine + kStartBitsOff + i] =
+                    static_cast<uint8_t>(rng.next());
+        }
+        pool->writeAt(fmt.bitmapOff(), image.data(), image.size());
+        pool->persist(pool->at(fmt.bitmapOff()), image.size());
         pool->setFaultModel(
             std::make_unique<nvm::FaultModel>(nvm::FaultConfig{}));
-        poisonedChunk = rng.nextUint(bits.size() / 64);
-        pool->faults()->poisonAt(fmt.bitmapOff() + poisonedChunk * 64);
+        poisonedLine = rng.nextUint(lines);
+        pool->faults()->poisonAt(fmt.bitmapOff() +
+                                 poisonedLine * kBitmapLine);
     }
 
     bool
@@ -499,7 +616,7 @@ struct ScanModel {
     {
         if ((bits[g / 8] >> (g % 8)) & 1)
             return false;
-        if (g / 512 == poisonedChunk)
+        if (g / kLineGranules == poisonedLine)
             return false;
         uint64_t lo = dataOff + g * kGranule;
         for (const auto& [qlo, qhi] : quar) {
@@ -541,8 +658,8 @@ struct ScanModel {
     void
     expectStats(const RebuildStats& st) const
     {
-        uint64_t firstG = poisonedChunk * 512;
-        uint64_t lastG = std::min(firstG + 512, nGranules);
+        uint64_t firstG = poisonedLine * kLineGranules;
+        uint64_t lastG = std::min(firstG + kLineGranules, nGranules);
         EXPECT_EQ(st.poisonedChunks, 1u);
         EXPECT_EQ(st.quarantinedBlocks, 1u);
         EXPECT_EQ(st.quarantinedBytes, (lastG - firstG) * kGranule);
@@ -573,10 +690,8 @@ TEST(AllocScan, FullAndLazyScansMatchPerGranuleReference)
                 if (rng.nextUint(3) == 0) {
                     uint64_t payload = 1 + rng.nextUint(3000);
                     uint64_t off = heap.reserve(payload);
-                    reserved.emplace_back(
-                        off - sizeof(BlockHeader),
-                        (sizeof(BlockHeader) + payload + kGranule - 1) /
-                            kGranule * kGranule);
+                    reserved.emplace_back(off, (payload + kGranule - 1) /
+                                                   kGranule * kGranule);
                 } else {
                     done = heap.lazyStep(1 + rng.nextUint(40));
                 }

@@ -13,8 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "alloc/pm_allocator.h"
 #include "nvm/fault_model.h"
@@ -772,29 +777,260 @@ TEST(EngineReport, LastRecoveryIsKept)
     EXPECT_TRUE(eng.lastRecovery.clean());
 }
 
-TEST(VerifyPool, CleanPoolThenCorruptBlockHeader)
+// ---------------------------------------------------------------
+// Header-less heap: the bitmap's start and allocation bits agree.
+// ---------------------------------------------------------------
+
+/** Flip granule `off`'s start (or allocation) bit by a raw poke. */
+void
+flipBit(nvm::Pool& pool, const alloc::PmAllocator& heap, uint64_t off,
+        bool startBit)
+{
+    uint64_t g = (off - heap.dataOff()) / alloc::kGranule;
+    pool.base()[heap.bitmapOff() +
+                g / alloc::kLineGranules * alloc::kBitmapLine +
+                (startBit ? alloc::kStartBitsOff : 0) +
+                g % alloc::kLineGranules / 8] ^=
+        static_cast<uint8_t>(1u << (g % 8));
+}
+
+bool
+hasProblem(const rt::salvage::VerifyResult& r, const char* what)
+{
+    for (const std::string& p : r.problems) {
+        if (p.find(what) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(VerifyPool, FlagsStartBitOnFreeGranuleAndRunWithoutStart)
 {
     Harness h(RuntimeKind::undo);
     auto eng = h.engine();
     for (uint64_t v = 1; v <= 3; v++)
         txn::run(eng, kPushNode, h.rootPtr().raw(), v);
-
     rt::salvage::VerifyResult clean = rt::salvage::verifyPool(*h.pool);
     EXPECT_TRUE(clean.ok()) << (clean.problems.empty()
                                     ? ""
                                     : clean.problems.front());
 
-    // Smash the leading block header of the allocated run (the walk
-    // validates one header per run; the root object, as the first
-    // allocation, leads it).
-    uint64_t a = h.pool->root();
-    alloc::BlockHeader bad{};
-    bad.payloadBytes = 64;
-    bad.check = 0xbadbad;
-    std::memcpy(h.pool->base() + a - sizeof(alloc::BlockHeader), &bad,
-                sizeof(bad));
-    rt::salvage::VerifyResult dirty = rt::salvage::verifyPool(*h.pool);
-    EXPECT_FALSE(dirty.ok());
+    // A start bit on a granule well past every allocation.
+    uint64_t freeOff = h.heap->dataOff() + (h.heap->dataBytes() / 2) /
+                                               alloc::kGranule *
+                                               alloc::kGranule;
+    flipBit(*h.pool, *h.heap, freeOff, true);
+    rt::salvage::VerifyResult r1 = rt::salvage::verifyPool(*h.pool);
+    EXPECT_TRUE(hasProblem(r1, "start bits on free granules"));
+    EXPECT_FALSE(hasProblem(r1, "no start bit"));
+    flipBit(*h.pool, *h.heap, freeOff, true);
+
+    // The root leads the heap's first allocated run: without its start
+    // bit the run names no block.
+    flipBit(*h.pool, *h.heap, h.pool->root(), true);
+    rt::salvage::VerifyResult r2 = rt::salvage::verifyPool(*h.pool);
+    EXPECT_TRUE(hasProblem(r2, "allocated runs with no start bit"));
+    EXPECT_FALSE(hasProblem(r2, "start bits on free"));
+    flipBit(*h.pool, *h.heap, h.pool->root(), true);
+    EXPECT_TRUE(rt::salvage::verifyPool(*h.pool).ok());
+}
+
+/** Run `cnvm_inspect verify` on `path`; its exit status and output. */
+int
+inspectVerify(const std::string& path, std::string* out)
+{
+    std::string cmd =
+        std::string(CNVM_INSPECT_BIN) + " verify '" + path + "' 2>&1";
+    FILE* p = ::popen(cmd.c_str(), "r");
+    if (p == nullptr)
+        return -1;
+    char buf[512];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr)
+        *out += buf;
+    int status = ::pclose(p);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(VerifyPool, InspectVerifyFlagsBitmapDisagreement)
+{
+    std::string path = ::testing::TempDir() + "cnvm_verify_bits.pool";
+    uint64_t freeOff = 0;
+    uint64_t rootOff = 0;
+    {
+        nvm::PoolConfig cfg;
+        cfg.path = path;
+        cfg.size = 8ULL << 20;
+        cfg.maxThreads = 2;
+        cfg.slotBytes = 64ULL << 10;
+        auto pool = nvm::Pool::create(cfg);
+        alloc::PmAllocator heap(*pool);
+        auto rtm = rt::makeRuntime(RuntimeKind::clobber, *pool, heap,
+                                   rt::ClobberPolicy::refined);
+        uint64_t root = heap.reserve(sizeof(TestRoot));
+        heap.persistAllocate(root);
+        uint64_t item = heap.reserve(112);
+        heap.persistAllocate(item);
+        pool->fence();
+        rootOff = root;
+        freeOff = item + 112 + 10 * alloc::kGranule;
+    }
+    auto poke = [&](uint64_t off, bool startBit) {
+        auto pool = nvm::Pool::open(path);
+        alloc::PmAllocator heap(*pool);
+        flipBit(*pool, heap, off, startBit);
+    };
+    std::string out;
+    EXPECT_EQ(inspectVerify(path, &out), 0) << out;
+
+    poke(freeOff, true);
+    out.clear();
+    EXPECT_EQ(inspectVerify(path, &out), 1) << out;
+    EXPECT_NE(out.find("PROBLEM: heap: 1 start bits on free granules"),
+              std::string::npos)
+        << out;
+    poke(freeOff, true);
+
+    poke(rootOff, true);
+    out.clear();
+    EXPECT_EQ(inspectVerify(path, &out), 1) << out;
+    EXPECT_NE(out.find("PROBLEM: heap: 1 allocated runs with no start bit"),
+              std::string::npos)
+        << out;
+    std::remove(path.c_str());
+}
+
+/** node = a 112-byte block (TestNode + 96 bytes), pushed at the head. */
+const txn::FuncId kPushWide = txn::registerTxFunc(
+    "salvage_push_wide", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+        auto value = a.get<uint64_t>();
+        auto node = tx.pnew<TestNode>(96);
+        tx.st(node->value, value);
+        tx.st(node->next, tx.ld(root->head));
+        tx.st(root->head, node);
+        tx.st(root->sum, tx.ld(root->sum) + value);
+    });
+
+/** Free the head node and push a fresh 112-byte one: one allocation
+ *  and one free in the same transaction. */
+const txn::FuncId kReplaceWide = txn::registerTxFunc(
+    "salvage_replace_wide", [](txn::Tx& tx, txn::ArgReader& a) {
+        auto root = nvm::PPtr<TestRoot>(a.get<uint64_t>());
+        auto value = a.get<uint64_t>();
+        auto old = tx.ld(root->head);
+        auto node = tx.pnew<TestNode>(96);
+        tx.st(node->value, value);
+        tx.st(node->next, tx.ld(old->next));
+        tx.st(root->head, node);
+        tx.st(root->sum, tx.ld(root->sum) - tx.ld(old->value) + value);
+        tx.pfree(old);
+    });
+
+/**
+ * Blocks the raw bitmap describes, start offset -> bytes. Fails the
+ * test on a start bit over a free granule or an allocated run with no
+ * start bit.
+ */
+std::map<uint64_t, uint64_t>
+bitmapBlocks(const nvm::Pool& pool, const alloc::PmAllocator& heap)
+{
+    std::map<uint64_t, uint64_t> blocks;
+    const auto* bitmap =
+        static_cast<const uint8_t*>(pool.at(heap.bitmapOff()));
+    uint64_t open = 0;
+    bool inBlock = false;
+    for (uint64_t g = 0; g < heap.dataBytes() / alloc::kGranule; g++) {
+        const uint8_t* line =
+            bitmap + g / alloc::kLineGranules * alloc::kBitmapLine;
+        uint64_t i = g % alloc::kLineGranules;
+        auto bit = static_cast<uint8_t>(1u << (i % 8));
+        bool allocated = (line[i / 8] & bit) != 0;
+        bool start = (line[alloc::kStartBitsOff + i / 8] & bit) != 0;
+        uint64_t off = heap.dataOff() + g * alloc::kGranule;
+        EXPECT_FALSE(start && !allocated) << "start bit on free " << off;
+        EXPECT_FALSE(allocated && !start && !inBlock)
+            << "allocated run with no start bit at " << off;
+        if (allocated && start) {
+            open = off;
+            inBlock = true;
+        }
+        inBlock = inBlock && allocated;
+        if (inBlock)
+            blocks[open] += alloc::kGranule;
+    }
+    return blocks;
+}
+
+/**
+ * Tear a transaction that frees one 112-byte node and allocates
+ * another at every write index, recover fully or lazily, and audit
+ * the heap: the bitmap's blocks are exactly the root and the list's
+ * nodes — each run of allocated granules starts one block per start
+ * bit, nothing leaked and nothing double-counted — and the free map
+ * holds every other byte.
+ */
+TEST(HeaderlessHeap, AllocFreeCrashSweepKeepsOneStartBitPerBlock)
+{
+    for (RuntimeKind kind :
+         {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber}) {
+        for (txn::RecoveryMode mode :
+             {txn::RecoveryMode::full, txn::RecoveryMode::lazy}) {
+            SCOPED_TRACE(testing::Message()
+                         << "kind " << static_cast<int>(kind) << " mode "
+                         << static_cast<int>(mode));
+            uint64_t crashes = 0;
+            for (uint64_t k = 1; k < 2000; k++) {
+                SCOPED_TRACE(k);
+                Harness h(kind, rt::ClobberPolicy::refined, 8ULL << 20);
+                auto eng = h.engine();
+                for (uint64_t v = 1; v <= 4; v++)
+                    txn::run(eng, kPushWide, h.rootPtr().raw(), v);
+                bool crashed = false;
+                {
+                    CrashScheduler sched(*h.pool);
+                    sched.arm(k);
+                    try {
+                        txn::run(eng, kReplaceWide, h.rootPtr().raw(),
+                                 uint64_t{50});
+                    } catch (const nvm::CrashInjected&) {
+                        crashed = true;
+                    }
+                }
+                if (!crashed)
+                    break;
+                crashes++;
+                h.pool->simulateCrash(900 + k);
+                if (mode == txn::RecoveryMode::full) {
+                    txn::RecoveryReport rep = h.runtime->recover();
+                    ASSERT_TRUE(rep.clean()) << rep.toString();
+                } else {
+                    eng.recover(txn::RecoveryMode::lazy,
+                                /* backgroundHealer */ false);
+                    for (unsigned t = 0; t < h.pool->maxThreads(); t++)
+                        eng.admitSlot(t);
+                    txn::RecoveryReport rep = eng.finishRecovery();
+                    ASSERT_TRUE(rep.clean()) << rep.toString();
+                }
+                std::map<uint64_t, uint64_t> want{
+                    {h.pool->root(), sizeof(TestRoot)}};
+                for (auto n = h.root().head; !n.isNull(); n = n->next)
+                    want[n.raw()] = sizeof(TestNode) + 96;
+                ASSERT_EQ(want.size(), 5u);
+                ASSERT_EQ(bitmapBlocks(*h.pool, *h.heap), want);
+                uint64_t used = 0;
+                for (const auto& [off, bytes] : want) {
+                    EXPECT_EQ(h.heap->payloadSize(off), bytes);
+                    used += bytes;
+                }
+                h.heap->rebuild();
+                EXPECT_EQ(h.heap->freeBytes(), h.heap->dataBytes() - used);
+                for (const std::string& p :
+                     rt::salvage::verifyPool(*h.pool).problems)
+                    EXPECT_NE(p.rfind("heap:", 0), 0u) << p;
+            }
+            EXPECT_GT(crashes, 10u);
+        }
+    }
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
  *
  * `verify` mode walks the whole pool through the salvage scanner
  * (rt::salvage::verifyPool): header bounds, per-slot descriptor and
- * log checksums, allocator metadata, quarantine table and allocated
- * block headers, printing every integrity violation it finds. It then
+ * log checksums, allocator metadata, quarantine table and the
+ * agreement of the bitmap's start and allocation bits, printing every
+ * integrity violation it finds. It then
  * reports the pending-recovery state per region — the same read-only
  * classification recoveryTriage() computes: which slots a lazy
  * restart would leave pending (and why), and which heap ranges it
@@ -121,11 +122,9 @@ reportPendingRecovery(nvm::Pool& pool)
         if (!damaged && intents == 1) {
             for (uint32_t i = 0; i < d.intentCount; i++) {
                 const rt::AllocIntent& in = d.intents[i];
-                uint64_t off =
-                    in.payloadOff - sizeof(alloc::BlockHeader);
+                uint64_t off = in.payloadOff;
                 uint64_t bytes =
-                    (sizeof(alloc::BlockHeader) + in.payloadBytes +
-                     alloc::kGranule - 1) /
+                    (in.payloadBytes + alloc::kGranule - 1) /
                     alloc::kGranule * alloc::kGranule;
                 std::printf("pending:   hold [%llu, +%llu) until "
                             "slot %u heals\n",
