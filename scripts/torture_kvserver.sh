@@ -8,7 +8,9 @@
 # round's journals. The invariant under test: every mutation the
 # server acked is durable (acks are sent only after the covering
 # transaction commits); unacked in-flight mutations may land either
-# way, and the shadow verifier allows exactly that.
+# way, and the shadow verifier allows exactly that. The final restart
+# ends in a graceful shutdown, which must leave a fully healed pool:
+# `cnvm_inspect verify` exits 0 with no slot pending.
 #
 #   BUILD_DIR=build scripts/torture_kvserver.sh [--recovery full|lazy]
 #
@@ -24,6 +26,7 @@ set -u
 BUILD_DIR=${BUILD_DIR:-build}
 SERVER="$BUILD_DIR/tools/cnvm_kvserver"
 LOAD="$BUILD_DIR/tools/cnvm_kvload"
+INSPECT="$BUILD_DIR/tools/cnvm_inspect"
 PROTOCOLS=${CNVM_KV_PROTOCOLS:-"clobber pmdk mnemosyne"}
 ROUNDS=${CNVM_KV_ROUNDS:-3}
 RECOVERY_MODE=full
@@ -46,6 +49,7 @@ fi
 
 [ -x "$SERVER" ] || { echo "missing $SERVER (build first)"; exit 2; }
 [ -x "$LOAD" ] || { echo "missing $LOAD (build first)"; exit 2; }
+[ -x "$INSPECT" ] || { echo "missing $INSPECT (build first)"; exit 2; }
 
 TMP=$(mktemp -d /tmp/cnvm_kvtorture.XXXXXX)
 SRV_PID=""
@@ -141,8 +145,17 @@ for proto in $PROTOCOLS; do
     kill "$SRV_PID" 2>/dev/null
     wait "$SRV_PID" 2>/dev/null
     SRV_PID=""
+    ilog="$TMP/inspect.$proto.log"
+    if ! "$INSPECT" verify "$pool" >"$ilog" 2>&1 ||
+       ! grep -q "recovery: no slot pending" "$ilog"; then
+        echo "FAIL($proto final): graceful shutdown left a pool that" \
+             "does not verify clean with nothing pending"
+        cat "$ilog"
+        fail=1
+        continue
+    fi
     echo "OK($proto): $ROUNDS kill(s), recovery=$RECOVERY_MODE," \
-         "acked data intact"
+         "acked data intact, shutdown pool verifies clean"
 done
 
 if [ "$fail" -ne 0 ]; then

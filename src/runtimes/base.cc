@@ -143,23 +143,6 @@ RuntimeBase::scanLog(unsigned tid, salvage::ScanStats* stats)
     return out;
 }
 
-uint64_t
-RuntimeBase::beginChecksum(unsigned tid) const
-{
-    return salvage::beginChecksum(desc(tid));
-}
-
-bool
-RuntimeBase::isOngoing(unsigned tid) const
-{
-    const TxDescriptor& d = desc(tid);
-    if (d.status != static_cast<uint64_t>(TxStatus::ongoing))
-        return false;
-    if (d.argLen > kMaxArgBytes)
-        return false;
-    return beginChecksum(tid) == d.beginSum;
-}
-
 void
 RuntimeBase::persistBegin(unsigned tid, txn::FuncId fid,
                           std::span<const uint8_t> args,
@@ -178,7 +161,7 @@ RuntimeBase::persistBegin(unsigned tid, txn::FuncId fid,
     pool_.write(&d.argLen, &argLen, sizeof(argLen));
     if (argLen > 0)
         pool_.write(d.args, args.data(), args.size());
-    uint64_t sum = beginChecksum(tid);
+    uint64_t sum = salvage::beginChecksum(d);
     pool_.write(&d.beginSum, &sum, sizeof(sum));
     size_t persistBytes = offsetof(TxDescriptor, args) + argLen;
     if (persistArgs) {
@@ -265,22 +248,13 @@ RuntimeBase::finishIntentsAfterCommit(unsigned tid)
     pool_.fence();
 }
 
-bool
-RuntimeBase::hasLiveIntents(unsigned tid) const
-{
-    const TxDescriptor& d = desc(tid);
-    if (d.intentSeq != d.txSeq || d.intentCount == 0 ||
-        d.intentCount > kMaxIntents) {
-        return false;
-    }
-    return salvage::intentChecksum(d.intentSeq, d.intentCount,
-                                   d.intents) == d.intentSum;
-}
-
 void
-RuntimeBase::recoverIntents(unsigned tid, bool committed)
+RuntimeBase::recoverIntents(unsigned tid, salvage::IntentState intents,
+                            bool committed)
 {
-    if (!hasLiveIntents(tid))
+    if (intents == salvage::IntentState::lost && report_ != nullptr)
+        report_->intentTablesLost++;
+    if (intents != salvage::IntentState::live)
         return;
     TxDescriptor& d = desc(tid);
     for (uint32_t i = 0; i < d.intentCount; i++) {
@@ -303,9 +277,10 @@ RuntimeBase::recoverIntents(unsigned tid, bool committed)
 }
 
 void
-RuntimeBase::reapplyAllocIntents(unsigned tid)
+RuntimeBase::reapplyAllocIntents(unsigned tid,
+                                 salvage::IntentState intents)
 {
-    if (!hasLiveIntents(tid))
+    if (intents != salvage::IntentState::live)
         return;
     TxDescriptor& d = desc(tid);
     for (uint32_t i = 0; i < d.intentCount; i++) {
@@ -353,46 +328,6 @@ RuntimeBase::recordSlot(txn::SlotRecovery s)
                     s.entriesDropped);
     }
     report_->add(std::move(s));
-}
-
-bool
-RuntimeBase::descReadable(unsigned tid)
-{
-    // Guard only the begin record (status through the v_log args).
-    // The intent table that follows carries its own checksum and its
-    // own guarded handler (liveIntentsGuarded) with better salvage
-    // semantics; vetting it here would shadow that path and turn
-    // every table fault into a blanket "descriptor poisoned" abort.
-    try {
-        pool_.checkRead(&desc(tid), offsetof(TxDescriptor, intentSeq));
-    } catch (const nvm::MediaFaultError&) {
-        return false;
-    }
-    return true;
-}
-
-int
-RuntimeBase::liveIntentsGuarded(unsigned tid)
-{
-    const TxDescriptor& d = desc(tid);
-    constexpr size_t tableBytes =
-        sizeof(TxDescriptor) - offsetof(TxDescriptor, intentSeq);
-    try {
-        pool_.checkRead(&d.intentSeq, tableBytes);
-    } catch (const nvm::MediaFaultError&) {
-        return -1;
-    }
-    if (hasLiveIntents(tid))
-        return 1;
-    // A table that *looks* live (right seq, sane count) but fails its
-    // checksum on a tainted line was corrupted, not torn: the alloc
-    // actions it described are unrecoverable.
-    if (d.intentSeq == d.txSeq && d.intentCount > 0 &&
-        d.intentCount <= kMaxIntents &&
-        pool_.isTainted(&d.intentSeq, tableBytes)) {
-        return -1;
-    }
-    return 0;
 }
 
 void
@@ -447,7 +382,8 @@ RuntimeBase::txAbort(unsigned tid)
         // An intent table only persists inside txCommit, after every
         // append — it cannot be live here unless a protocol grows an
         // early-persist path; revert it if it is.
-        recoverIntents(tid, /* committed */ false);
+        recoverIntents(tid, salvage::probeSlot(pool_, tid).intents,
+                       /* committed */ false);
     }
     // Un-reserve this transaction's allocations (volatile only: their
     // bitmap bits are not set until commit).
@@ -461,46 +397,19 @@ RuntimeBase::txAbort(unsigned tid)
     s.resetTx();
 }
 
-bool
-RuntimeBase::slotRecoverable(unsigned tid)
-{
-    // A begin record that reads back but sits on a flipped line is as
-    // untrustworthy as a poisoned one: a flipped status, txSeq or
-    // begin checksum silently misroutes the whole slot's recovery.
-    // Resetting without reverting intents can leak blocks, but
-    // replaying a possibly-flipped intent table could corrupt the
-    // bitmap — the leak is the safe direction, and it is declared.
-    // Only the begin record is vetted here; intent-table faults are
-    // the province of liveIntentsGuarded.
-    const char* why = nullptr;
-    if (!descReadable(tid))
-        why = "descriptor poisoned";
-    else if (pool_.isTainted(&desc(tid),
-                             offsetof(TxDescriptor, intentSeq)))
-        why = "descriptor tainted (bit flip)";
-    if (why == nullptr)
-        return true;
-    txn::SlotRecovery sr;
-    sr.tid = tid;
-    sr.action = txn::SlotAction::salvageAborted;
-    sr.note = why;
-    recordSlot(std::move(sr));
-    salvageResetSlot(tid);
-    return false;
-}
-
 void
-RuntimeBase::recoverIdleIntents(unsigned tid, bool committed)
+RuntimeBase::recoverIdleIntents(unsigned tid,
+                                salvage::IntentState intents,
+                                bool committed)
 {
-    int live = liveIntentsGuarded(tid);
-    if (live > 0) {
-        recoverIntents(tid, committed);
+    if (intents == salvage::IntentState::live) {
+        recoverIntents(tid, intents, committed);
         txn::SlotRecovery sr;
         sr.tid = tid;
         sr.action = committed ? txn::SlotAction::intentsCompleted
                               : txn::SlotAction::intentsReverted;
         recordSlot(std::move(sr));
-    } else if (live < 0) {
+    } else if (intents == salvage::IntentState::lost) {
         if (report_ != nullptr)
             report_->intentTablesLost++;
         salvageResetSlot(tid);
@@ -518,56 +427,16 @@ RuntimeBase::resetVolatileSlot(unsigned tid)
     slot(tid) = SlotState{};
 }
 
-txn::SlotClass
-RuntimeBase::classifySlot(unsigned tid)
-{
-    if (isOngoing(tid))
-        return txn::SlotClass::ongoing;
-    if (desc(tid).status ==
-        static_cast<uint64_t>(TxStatus::committing)) {
-        return txn::SlotClass::committing;
-    }
-    // Both a live table and a poisoned/corrupt one need a heal (the
-    // heal records the latter as lost); only 0 means nothing to do.
-    if (liveIntentsGuarded(tid) != 0)
-        return txn::SlotClass::idleIntents;
-    return txn::SlotClass::clean;
-}
-
 txn::RecoveryIndex
 RuntimeBase::recoveryTriage()
 {
-    txn::RecoveryIndex idx;
-    for (unsigned tid = 0; tid < pool_.maxThreads(); tid++) {
-        resetVolatileSlot(tid);
-        txn::IndexEntry e;
-        e.tid = tid;
-        // Read-only damage check — unlike slotRecoverable, triage
-        // must not salvage-reset anything (healSlot does, once).
-        bool damaged =
-            !descReadable(tid) ||
-            pool_.isTainted(&desc(tid),
-                            offsetof(TxDescriptor, intentSeq));
-        e.cls = damaged ? txn::SlotClass::damaged : classifySlot(tid);
-        if (!damaged && liveIntentsGuarded(tid) == 1) {
-            // A live intent table may own blocks whose bitmap bits
-            // tore in the crash: pin them out of the free map until
-            // this slot's heal settles their true state.
-            const TxDescriptor& d = desc(tid);
-            for (uint32_t i = 0; i < d.intentCount; i++) {
-                const AllocIntent& in = d.intents[i];
-                txn::HoldRange h;
-                h.tid = tid;
-                h.off = in.payloadOff;
-                h.bytes = (in.payloadBytes + alloc::kGranule - 1) /
-                          alloc::kGranule * alloc::kGranule;
-                idx.holds.push_back(h);
-            }
-        }
-        triageSlot(tid, e.cls);
-        if (e.cls != txn::SlotClass::clean)
-            idx.entries.push_back(e);
-    }
+    // Read-only probes: triage must not salvage-reset anything
+    // (healSlot does, once).
+    txn::RecoveryIndex idx = salvage::triagePool(
+        pool_, [this](unsigned tid, const salvage::SlotProbe& p) {
+            resetVolatileSlot(tid);
+            triageSlot(tid, p.cls);
+        });
     triageFinish();
     return idx;
 }
@@ -575,18 +444,28 @@ RuntimeBase::recoveryTriage()
 void
 RuntimeBase::healOneSlot(unsigned tid)
 {
-    // Re-derive the slot's condition from media: the triage class is
-    // advisory, and a crash mid-heal may have left the slot in a later
-    // stage (e.g. already salvage-reset) than the index recorded.
-    if (!slotRecoverable(tid))
-        return;
-    if (isOngoing(tid))
-        healOngoing(tid);
-    else if (desc(tid).status ==
-             static_cast<uint64_t>(TxStatus::committing))
-        healCommitting(tid);
-    else
-        healIdle(tid);
+    // Re-probe the media: the triage class is advisory, and a crash
+    // mid-heal may have left the slot in a later stage (e.g. already
+    // salvage-reset) than the index recorded.
+    salvage::SlotProbe p = salvage::probeSlot(pool_, tid);
+    switch (p.cls) {
+      case txn::SlotClass::damaged: {
+        // Resetting without reverting intents can leak blocks, but
+        // replaying a possibly-flipped intent table could corrupt the
+        // bitmap — the leak is the safe direction, and it is declared.
+        // The reset's writes heal the damaged lines.
+        txn::SlotRecovery sr;
+        sr.tid = tid;
+        sr.action = txn::SlotAction::salvageAborted;
+        sr.note = p.damage;
+        recordSlot(std::move(sr));
+        salvageResetSlot(tid);
+        break;
+      }
+      case txn::SlotClass::ongoing: healOngoing(tid, p); break;
+      case txn::SlotClass::committing: healCommitting(tid, p); break;
+      default: healIdle(tid, p); break;
+    }
 }
 
 txn::RecoveryReport

@@ -57,15 +57,16 @@ class RuntimeBase : public txn::Runtime {
     /**
      * @name Recovery hooks (txn::Runtime::recover runs them in order)
      *
-     * recoveryTriage() is the bounded pass: classify every slot from
-     * its descriptor (no log replay, no bitmap scan), collect the
-     * heap ranges live intent tables pin, and reset volatile slot
-     * state. It writes nothing a re-run could disagree with — the
-     * index rebuilds identically from the same media, so a crash
-     * anywhere inside triage (or between triage and the last heal)
-     * just means triage runs again. healSlot() re-derives the slot's
-     * condition from media (the triage class is advisory) and applies
-     * the protocol's repair through healOneSlot, so healing twice —
+     * recoveryTriage() is the bounded pass: salvage::triagePool
+     * classifies every slot with salvage::probeSlot (no log replay,
+     * no bitmap scan) and collects the heap ranges live intent tables
+     * pin; the per-slot hooks reset volatile slot state. It writes
+     * nothing a re-run could disagree with — the index rebuilds
+     * identically from the same media, so a crash anywhere inside
+     * triage (or between triage and the last heal) just means triage
+     * runs again. healSlot() re-probes the slot (the triage class is
+     * advisory) and applies the protocol's repair through
+     * healOneSlot, so healing twice —
      * or healing after a crash that landed mid-heal — is idempotent.
      * healHeap() is the allocator reconciliation, run once after all
      * entries heal. resumeSlot() is empty here: only the
@@ -294,18 +295,18 @@ class RuntimeBase : public txn::Runtime {
     void finishIntentsAfterCommit(unsigned tid);
 
     /**
-     * Repair the persistent intent table of slot `tid`.
+     * Repair the persistent intent table of slot `tid`, whose probe
+     * found it `intents`: only a live table is applied, and a lost one
+     * is counted in the report (its blocks leak, the safe direction).
      * @param committed true if the owning transaction reached its
      *        commit point (finish the frees), false otherwise (revert
      *        the allocations).
      */
-    void recoverIntents(unsigned tid, bool committed);
+    void recoverIntents(unsigned tid, salvage::IntentState intents,
+                        bool committed);
 
-    /** Redo replay: force the table's alloc bits set (idempotent). */
-    void reapplyAllocIntents(unsigned tid);
-
-    /** True iff the slot holds a live intent table for its txSeq. */
-    bool hasLiveIntents(unsigned tid) const;
+    /** Redo replay: force a live table's alloc bits set (idempotent). */
+    void reapplyAllocIntents(unsigned tid, salvage::IntentState intents);
     /// @}
 
     /** Write status=idle, flush, fence. */
@@ -343,17 +344,6 @@ class RuntimeBase : public txn::Runtime {
     /** Record a per-slot salvage outcome (no-op outside recovery). */
     void recordSlot(txn::SlotRecovery s);
 
-    /** Can the slot's descriptor be read at all? Poisoned descriptors
-     *  are recorded as salvage-aborted by the caller. */
-    bool descReadable(unsigned tid);
-
-    /**
-     * hasLiveIntents with media awareness: 1 = live table, 0 = none,
-     * -1 = the table is poisoned or looks live but fails its checksum
-     * on a tainted line (record as intentTablesLost).
-     */
-    int liveIntentsGuarded(unsigned tid);
-
     /**
      * Rewrite the slot's descriptor as clean idle with txSeq bumped
      * (so surviving log entries can never validate again). Shared by
@@ -370,20 +360,12 @@ class RuntimeBase : public txn::Runtime {
     void salvageResetSlot(unsigned tid);
 
     /**
-     * Common heal preamble for one slot. False means the
-     * descriptor itself is unreadable: the slot has been recorded as
-     * salvage-aborted and persistently reset (the reset writes heal
-     * the poisoned lines), and the caller must skip it.
+     * recoverIntents for a slot with no interrupted transaction:
+     * completes (or reverts, per `committed`) a live table, or — if
+     * the table is lost — records it and resets the slot.
      */
-    bool slotRecoverable(unsigned tid);
-
-    /**
-     * Media-aware recoverIntents for a slot with no interrupted
-     * transaction: completes (or reverts, per `committed`) a live
-     * table, or — if the table is poisoned/corrupt — records it lost
-     * and resets the slot.
-     */
-    void recoverIdleIntents(unsigned tid, bool committed);
+    void recoverIdleIntents(unsigned tid, salvage::IntentState intents,
+                            bool committed);
 
     /**
      * @name Per-slot protocol hooks behind triage and healSlot
@@ -396,11 +378,6 @@ class RuntimeBase : public txn::Runtime {
      *  its write map). */
     virtual void resetVolatileSlot(unsigned tid);
 
-    /** Classify one slot from its descriptor. Read-mostly: must not
-     *  repair anything (triage calls it; heal re-derives). The caller
-     *  has already vetted the descriptor's begin record. */
-    virtual txn::SlotClass classifySlot(unsigned tid);
-
     /** Per-slot triage hook (redo skips clean slots' txSeq here). */
     virtual void triageSlot(unsigned /* tid */, txn::SlotClass) {}
 
@@ -408,46 +385,40 @@ class RuntimeBase : public txn::Runtime {
     virtual void triageFinish() {}
 
     /**
-     * Heal one slot: vet the descriptor (salvage-reset if unreadable)
-     * and dispatch to healOngoing / healCommitting / healIdle from
-     * the slot's *current* media state.
+     * Heal one slot: probe its *current* media state, salvage-reset a
+     * damaged descriptor, and dispatch the rest to healOngoing /
+     * healCommitting / healIdle with the probe.
      */
     virtual void healOneSlot(unsigned tid);
 
     /** Repair an interrupted (status=ongoing) transaction: roll it
      *  back, or restore its inputs and leave it ongoing for
      *  resumeSlot to re-execute. */
-    virtual void healOngoing(unsigned /* tid */) {}
+    virtual void
+    healOngoing(unsigned /* tid */, const salvage::SlotProbe& /* p */)
+    {
+    }
 
     /** Roll a committing slot forward (redo). The default treats it
      *  like an idle slot — no other protocol persists that status. */
     virtual void
-    healCommitting(unsigned tid)
+    healCommitting(unsigned tid, const salvage::SlotProbe& p)
     {
-        healIdle(tid);
+        healIdle(tid, p);
     }
 
     /** Repair a slot with no interrupted transaction: finish (or, per
      *  protocol, revert) a live alloc-intent table. */
     virtual void
-    healIdle(unsigned tid)
+    healIdle(unsigned tid, const salvage::SlotProbe& p)
     {
-        recoverIdleIntents(tid, /* committed */ true);
+        recoverIdleIntents(tid, p.intents, /* committed */ true);
     }
     /// @}
 
     /** Active recovery report; null outside a recovery hook. */
     txn::RecoveryReport* report_ = nullptr;
     /// @}
-
-    /**
-     * True iff slot `tid` holds an interrupted transaction whose begin
-     * record validates (see TxDescriptor::beginSum).
-     */
-    bool isOngoing(unsigned tid) const;
-
-    /** Checksum of the slot's current begin record. */
-    uint64_t beginChecksum(unsigned tid) const;
 
     /** Helpers for 8-byte block bookkeeping. */
     uint64_t

@@ -133,7 +133,7 @@ ClobberRuntime::txCommit(unsigned tid)
 }
 
 salvage::ScanStats
-ClobberRuntime::restoreSlot(unsigned tid)
+ClobberRuntime::restoreSlot(unsigned tid, salvage::IntentState intents)
 {
     salvage::ScanStats st;
     const auto& entries = scanLog(tid, &st);
@@ -144,7 +144,7 @@ ClobberRuntime::restoreSlot(unsigned tid)
         pool_.flush(pool_.at(it->targetOff), it->len);
     }
     pool_.fence();
-    recoverIntents(tid, /* committed */ false);
+    recoverIntents(tid, intents, /* committed */ false);
     stats::bump(stats::Counter::recoveries);
     return st;
 }
@@ -158,7 +158,7 @@ ClobberRuntime::reexecuteSlot(unsigned tid)
     // we crash again during re-execution.
     uint64_t seq = d.txSeq + 1;
     pool_.write(&d.txSeq, &seq, sizeof(seq));
-    uint64_t sum = beginChecksum(tid);
+    uint64_t sum = salvage::beginChecksum(d);
     pool_.write(&d.beginSum, &sum, sizeof(sum));
     pool_.flush(&d.txSeq, sizeof(seq));
     pool_.persist(&d.beginSum, sizeof(sum));
@@ -196,7 +196,7 @@ ClobberRuntime::abortReexecution(unsigned tid, const char* why)
     // abandon the transaction. Blind writes of the aborted txfunc may
     // survive — inherent to the clobber protocol, which is why the
     // abort is declared in the report rather than papered over.
-    restoreSlot(tid);
+    restoreSlot(tid, salvage::probeSlot(pool_, tid).intents);
     salvageResetSlot(tid);
     slot(tid) = SlotState{};
     txn::SlotRecovery sr;
@@ -265,12 +265,12 @@ ClobberRuntime::reexecuteGuarded(unsigned tid)
 }
 
 void
-ClobberRuntime::healOngoing(unsigned tid)
+ClobberRuntime::healOngoing(unsigned tid, const salvage::SlotProbe& p)
 {
     // A damaged clobber log means some pre-state is unrecoverable:
     // restore what validated, but do NOT re-execute — the txfunc
     // would read partly-garbage inputs and commit on top of them.
-    salvage::ScanStats st = restoreSlot(tid);
+    salvage::ScanStats st = restoreSlot(tid, p.intents);
     if (st.damaged() || logWriterElides())
         declareRestoreAbort(tid, st);
 }
@@ -278,7 +278,7 @@ ClobberRuntime::healOngoing(unsigned tid)
 txn::RecoveryReport
 ClobberRuntime::resumeSlot(const txn::IndexEntry& e)
 {
-    if (!isOngoing(e.tid))
+    if (salvage::probeSlot(pool_, e.tid).cls != txn::SlotClass::ongoing)
         return {};
     // Under lazy recovery no full heap rebuild precedes this: the
     // allocator's incremental scan serves the re-execution, and this

@@ -88,7 +88,7 @@ class ClobberRuntime : public RuntimeBase {
      * damaged log or an eliding writer instead abandons the slot with
      * a declared salvage abort.
      */
-    void healOngoing(unsigned tid) override;
+    void healOngoing(unsigned tid, const salvage::SlotProbe& p) override;
 
     ClobberPolicy policy_;
     bool clobberLogEnabled_ = true;
@@ -103,9 +103,11 @@ class ClobberRuntime : public RuntimeBase {
     static thread_local bool recovering_;
 
  private:
-    /** Restore clobbered inputs, revert intents.
+    /** Restore clobbered inputs, revert intents (the slot's probe
+     *  found its table `intents`).
      *  @return what the log scan observed. */
-    salvage::ScanStats restoreSlot(unsigned tid);
+    salvage::ScanStats restoreSlot(unsigned tid,
+                                   salvage::IntentState intents);
     /** Re-execute the interrupted txfunc to commit. */
     void reexecuteSlot(unsigned tid);
     /** Roll back a partially re-executed slot and abandon it. */

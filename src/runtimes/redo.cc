@@ -226,7 +226,7 @@ RedoRuntime::healOneSlot(unsigned tid)
 }
 
 void
-RedoRuntime::healCommitting(unsigned tid)
+RedoRuntime::healCommitting(unsigned tid, const salvage::SlotProbe& p)
 {
     // Roll forward: replay the log in order, finish intents. Every
     // entry was flushed and drained by the commit-path fence *before*
@@ -240,7 +240,7 @@ RedoRuntime::healCommitting(unsigned tid)
     sr.tid = tid;
     sr.entriesDropped = st.droppedEntries;
     if (st.damaged() || st.tornTail) {
-        recoverIntents(tid, /* committed */ false);
+        recoverIntents(tid, p.intents, /* committed */ false);
         salvageResetSlot(tid);
         sr.action = txn::SlotAction::salvageAborted;
         sr.note = "committed transaction lost: redo log " +
@@ -254,8 +254,8 @@ RedoRuntime::healCommitting(unsigned tid)
             sr.entriesApplied++;
         }
         pool_.fence();
-        reapplyAllocIntents(tid);
-        recoverIntents(tid, /* committed */ true);
+        reapplyAllocIntents(tid, p.intents);
+        recoverIntents(tid, p.intents, /* committed */ true);
         persistIdle(tid);
         sr.action = txn::SlotAction::rolledForward;
         stats::bump(stats::Counter::recoveries);

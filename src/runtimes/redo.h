@@ -59,13 +59,15 @@ class RedoRuntime : public RuntimeBase {
     void healOneSlot(unsigned tid) override;
 
     /** Committing slot: replay the redo log forward. */
-    void healCommitting(unsigned tid) override;
+    void healCommitting(unsigned tid,
+                        const salvage::SlotProbe& p) override;
 
     /** No commit record: the transaction is discarded; revert any
      *  persisted allocation intents. */
-    void healIdle(unsigned tid) override
+    void
+    healIdle(unsigned tid, const salvage::SlotProbe& p) override
     {
-        recoverIdleIntents(tid, /* committed */ false);
+        recoverIdleIntents(tid, p.intents, /* committed */ false);
     }
 
  private:

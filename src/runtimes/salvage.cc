@@ -1,6 +1,7 @@
 #include "runtimes/salvage.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "alloc/pm_allocator.h"
@@ -91,6 +92,82 @@ resync(const nvm::Pool* pool, const uint8_t* area, size_t cap,
 }
 
 }  // namespace
+
+SlotProbe
+probeSlot(nvm::Pool& pool, unsigned tid)
+{
+    constexpr size_t kBeginBytes = offsetof(TxDescriptor, intentSeq);
+    constexpr size_t kTableBytes = sizeof(TxDescriptor) - kBeginBytes;
+    const auto& d = *static_cast<const TxDescriptor*>(pool.slot(tid));
+    SlotProbe p;
+    // The begin record (status through the v_log args) first. One that
+    // reads back but sits on a flipped line is as untrustworthy as a
+    // poisoned one: a flipped status, txSeq or beginSum silently
+    // misroutes the whole slot, so nothing else in it is interpreted.
+    if (!readable(&pool, &d, kBeginBytes))
+        p.damage = "descriptor poisoned";
+    else if (pool.isTainted(&d, kBeginBytes))
+        p.damage = "descriptor tainted (bit flip)";
+    if (p.damage != nullptr) {
+        p.cls = txn::SlotClass::damaged;
+        return p;
+    }
+    p.beginValid = d.status != static_cast<uint64_t>(TxStatus::idle) &&
+                   d.argLen <= kMaxArgBytes &&
+                   beginChecksum(d) == d.beginSum;
+    // The intent table carries its own checksum, so its faults do not
+    // damage the begin record; the whole table is guarded, whatever
+    // its count says.
+    if (!readable(&pool, &d.intentSeq, kTableBytes)) {
+        p.intents = IntentState::lost;
+    } else if (d.intentSeq == d.txSeq && d.intentCount > 0 &&
+               d.intentCount <= kMaxIntents) {
+        if (intentChecksum(d.intentSeq, d.intentCount, d.intents) ==
+            d.intentSum) {
+            p.intents = IntentState::live;
+        } else if (pool.isTainted(&d.intentSeq, kTableBytes)) {
+            // Corrupted, not torn: a torn table fails on clean lines.
+            p.intents = IntentState::lost;
+        }
+    }
+    if (d.status == static_cast<uint64_t>(TxStatus::ongoing) &&
+        p.beginValid) {
+        p.cls = txn::SlotClass::ongoing;
+    } else if (d.status ==
+               static_cast<uint64_t>(TxStatus::committing)) {
+        p.cls = txn::SlotClass::committing;
+    } else if (p.intents != IntentState::none) {
+        // A lost table needs a heal too: the heal records it.
+        p.cls = txn::SlotClass::idleIntents;
+    }
+    if (p.intents == IntentState::live) {
+        // Its blocks' bitmap bits may have torn in the crash.
+        for (uint32_t i = 0; i < d.intentCount; i++) {
+            const AllocIntent& in = d.intents[i];
+            p.holds.push_back(txn::HoldRange{
+                tid, in.payloadOff,
+                (in.payloadBytes + alloc::kGranule - 1) /
+                    alloc::kGranule * alloc::kGranule});
+        }
+    }
+    return p;
+}
+
+txn::RecoveryIndex
+triagePool(nvm::Pool& pool,
+           const std::function<void(unsigned, const SlotProbe&)>& each)
+{
+    txn::RecoveryIndex idx;
+    for (unsigned tid = 0; tid < pool.maxThreads(); tid++) {
+        SlotProbe p = probeSlot(pool, tid);
+        each(tid, p);
+        if (p.cls != txn::SlotClass::clean)
+            idx.entries.push_back(txn::IndexEntry{tid, p.cls});
+        idx.holds.insert(idx.holds.end(), p.holds.begin(),
+                         p.holds.end());
+    }
+    return idx;
+}
 
 void
 scanLogArea(const nvm::Pool* pool, const uint8_t* area, size_t cap,
@@ -201,46 +278,45 @@ verifyPool(nvm::Pool& pool)
                           static_cast<unsigned long long>(h.slotBytes),
                           logAreaOffset()));
 
-    // Per-slot descriptors and logs.
-    for (unsigned tid = 0; tid < h.maxThreads; tid++) {
-        const auto* d = static_cast<const TxDescriptor*>(pool.slot(tid));
-        if (!readable(&pool, d, sizeof(TxDescriptor))) {
-            problem(strprintf("slot %u: descriptor is poisoned", tid));
-            continue;
+    // Per-slot descriptors (through the recovery probe) and logs.
+    // Only what recovery cannot repair is a problem; a slot it heals
+    // is listed in r.pending.
+    r.pending = triagePool(pool, [&](unsigned tid, const SlotProbe& p) {
+        if (p.damage != nullptr) {
+            note(strprintf("slot %u: %s (recovery salvage-resets it)",
+                           tid, p.damage));
+            return;
         }
+        const auto* d = static_cast<const TxDescriptor*>(pool.slot(tid));
         if (d->status > static_cast<uint64_t>(TxStatus::committing)) {
             problem(strprintf("slot %u: unknown status %llu", tid,
                               static_cast<unsigned long long>(
                                   d->status)));
-            continue;
+            return;
         }
-        bool ongoing =
-            d->status != static_cast<uint64_t>(TxStatus::idle);
-        if (ongoing) {
-            if (d->argLen > kMaxArgBytes) {
-                problem(strprintf("slot %u: argLen %u out of range",
-                                  tid, d->argLen));
-            } else if (beginChecksum(*d) != d->beginSum) {
-                note(strprintf("slot %u: begin record fails its "
-                               "checksum (torn begin)",
-                               tid));
-            }
+        bool active = d->status != static_cast<uint64_t>(TxStatus::idle);
+        if (active && d->argLen > kMaxArgBytes) {
+            problem(strprintf("slot %u: argLen %u out of range", tid,
+                              d->argLen));
+        } else if (active && !p.beginValid) {
+            note(strprintf("slot %u: begin record fails its checksum "
+                           "(torn begin)",
+                           tid));
         }
-        if (d->intentCount != 0) {
-            if (d->intentCount > kMaxIntents) {
-                problem(strprintf("slot %u: intent count %u out of "
-                                  "range",
-                                  tid, d->intentCount));
-            } else if (d->intentSeq == d->txSeq &&
-                       intentChecksum(d->intentSeq, d->intentCount,
-                                      d->intents) != d->intentSum) {
-                problem(strprintf("slot %u: live-looking intent table "
-                                  "fails its checksum",
-                                  tid));
-            } else {
-                note(strprintf("slot %u: %u live alloc intents", tid,
-                               d->intentCount));
-            }
+        if (d->intentCount > kMaxIntents) {
+            problem(strprintf("slot %u: intent count %u out of range",
+                              tid, d->intentCount));
+        } else if (p.intents == IntentState::live) {
+            note(strprintf("slot %u: %u live alloc intents", tid,
+                           d->intentCount));
+        } else if (p.intents == IntentState::lost) {
+            note(strprintf("slot %u: alloc intent table unreadable or "
+                           "corrupt (recovery records it lost)",
+                           tid));
+        } else if (d->intentCount != 0 && d->intentSeq == d->txSeq) {
+            note(strprintf("slot %u: torn intent table (cut off before "
+                           "its fence; recovery ignores it)",
+                           tid));
         }
         const uint8_t* area =
             static_cast<const uint8_t*>(pool.slot(tid)) +
@@ -257,14 +333,14 @@ verifyPool(nvm::Pool& pool)
                 tid, static_cast<unsigned long long>(st.entries),
                 static_cast<unsigned long long>(st.droppedEntries),
                 st.sawPoison ? 1 : 0));
-        } else if (ongoing && st.entries > 0) {
+        } else if (active && st.entries > 0) {
             note(strprintf("slot %u: %llu valid log entries "
                            "(interrupted transaction)",
                            tid,
                            static_cast<unsigned long long>(
                                st.entries)));
         }
-    }
+    });
 
     // Allocator metadata: parse raw, never via PmAllocator (whose
     // constructor would *format* a heap with a damaged magic).
@@ -325,6 +401,7 @@ verifyPool(nvm::Pool& pool)
     uint64_t startsOnFree = 0;
     uint64_t runsWithoutStart = 0;
     bool prevAllocated = false;
+    bool prevFree = false;
     for (uint64_t g0 = 0; g0 < nGranules; g0 += alloc::kLineGranules) {
         const uint8_t* line = bitmap + g0 / alloc::kLineGranules *
                                            alloc::kBitmapLine;
@@ -342,8 +419,19 @@ verifyPool(nvm::Pool& pool)
                                                     alloc::kGranule))
                 runsWithoutStart++;
             prevAllocated = allocated;
+            // Free space as a rebuild maps it: quarantined granules
+            // never count, whatever their bits say.
+            bool free = !allocated &&
+                        !quarantined(ah->dataOff +
+                                     (g0 + i) * alloc::kGranule);
+            if (free) {
+                r.freeBytes += alloc::kGranule;
+                r.freeExtents += prevFree ? 0 : 1;
+            }
+            prevFree = free;
         }
     }
+    r.heapWalked = true;
     if (startsOnFree > 0)
         problem(strprintf("heap: %llu start bits on free granules",
                           static_cast<unsigned long long>(

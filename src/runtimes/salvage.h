@@ -29,10 +29,12 @@
 #define CNVM_RUNTIMES_SALVAGE_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "runtimes/descriptor.h"
+#include "txn/recovery_index.h"
 
 namespace cnvm::alloc {
 class PmAllocator;
@@ -95,22 +97,75 @@ void scanLogArea(const nvm::Pool* pool, const uint8_t* area,
                  size_t cap, uint32_t seqLo,
                  std::vector<ScannedEntry>& out, ScanStats* stats);
 
+/** What a slot's alloc-intent table holds for recovery. */
+enum class IntentState : uint8_t {
+    /** No table of the current transaction, or a torn one: the crash
+     *  cut it off before its fence, so no bitmap bit was touched. */
+    none,
+    /** A checksummed table of the current transaction: settle it. */
+    live,
+    /** Poisoned, or live-looking but failing its checksum on a
+     *  bit-flipped line: the actions it described are unrecoverable. */
+    lost,
+};
+
+/** One read-only look at a slot's TxDescriptor (probeSlot). */
+struct SlotProbe {
+    txn::SlotClass cls = txn::SlotClass::clean;
+    /** Why the begin record cannot be trusted; null when it can. A
+     *  damaged slot's other fields are not interpreted. */
+    const char* damage = nullptr;
+    /** Status is not idle and (txSeq, fid, argLen, args) match
+     *  beginSum with argLen in range. */
+    bool beginValid = false;
+    IntentState intents = IntentState::none;
+    /** A live table's blocks, granule-rounded: pinned out of the free
+     *  map until the slot heals. */
+    std::vector<txn::HoldRange> holds;
+};
+
+/**
+ * The one reader of a persisted TxDescriptor: classify slot `tid` for
+ * recovery from media alone. Guards the begin record and the intent
+ * table (Pool::checkRead, Pool::isTainted) and never writes, so
+ * triage, every heal, verifyPool and cnvm_inspect apply the same rule.
+ */
+SlotProbe probeSlot(nvm::Pool& pool, unsigned tid);
+
+/**
+ * probeSlot over every slot: the dirty slots (ascending tid) and the
+ * live tables' hold ranges. `each` sees every slot's probe, clean
+ * ones included, in tid order. Writes nothing itself.
+ */
+txn::RecoveryIndex
+triagePool(nvm::Pool& pool,
+           const std::function<void(unsigned, const SlotProbe&)>& each);
+
 /** Result of an offline pool walk (cnvm_inspect verify). */
 struct VerifyResult {
-    /** Integrity violations (checksum failures, bad offsets). */
+    /** What recovery cannot repair (bad ranges, damaged logs, heap
+     *  metadata). */
     std::vector<std::string> problems;
-    /** Benign observations (torn tails, live intent tables). */
+    /** Benign observations (torn tails, torn or live intent tables). */
     std::vector<std::string> notes;
+    /** The slots recovery would heal: triagePool's index. */
+    txn::RecoveryIndex pending;
+    /** Free space the bitmap describes, as a rebuild would map it. */
+    uint64_t freeBytes = 0;
+    uint64_t freeExtents = 0;
+    /** The allocator header parsed and the bitmap was walked. */
+    bool heapWalked = false;
 
     bool ok() const { return problems.empty(); }
 };
 
 /**
- * Walk an open pool read-only: header bounds, per-slot descriptor and
- * log checksums (via scanLogArea), allocator header, quarantine
- * table, and the agreement of start and allocation bits. Never mutates
- * the pool and never constructs a PmAllocator (which would format a
- * heap whose header is damaged — exactly what we want to report).
+ * Walk an open pool read-only: header bounds, per-slot descriptors
+ * (via probeSlot) and log checksums (via scanLogArea), allocator
+ * header, quarantine table, and the agreement of start and allocation
+ * bits. Never mutates the pool and never constructs a PmAllocator
+ * (which would format a heap whose header is damaged — exactly what
+ * we want to report).
  */
 VerifyResult verifyPool(nvm::Pool& pool);
 

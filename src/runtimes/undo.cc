@@ -91,7 +91,7 @@ UndoRuntime::txCommit(unsigned tid)
 }
 
 void
-UndoRuntime::healOngoing(unsigned tid)
+UndoRuntime::healOngoing(unsigned tid, const salvage::SlotProbe& p)
 {
     salvage::ScanStats st;
     const auto& entries = scanLog(tid, &st);
@@ -104,7 +104,7 @@ UndoRuntime::healOngoing(unsigned tid)
         applied++;
     }
     pool_.fence();
-    recoverIntents(tid, /* committed */ false);
+    recoverIntents(tid, p.intents, /* committed */ false);
     txn::SlotRecovery sr;
     sr.tid = tid;
     sr.entriesApplied = applied;

@@ -38,7 +38,7 @@ class UndoRuntime : public RuntimeBase {
     void maybeUndoLog(unsigned tid, void* dst, size_t n);
 
     /** Interrupted transaction: replay the undo log in reverse. */
-    void healOngoing(unsigned tid) override;
+    void healOngoing(unsigned tid, const salvage::SlotProbe& p) override;
 };
 
 }  // namespace cnvm::rt

@@ -25,8 +25,9 @@
  * Hold ranges: a slot that crashed with a live alloc-intent table may
  * own heap blocks whose allocation bits never retired to media. Until
  * that slot heals, those ranges must not re-enter the allocator's free
- * map — triage reads them out of the (checksummed) intent table and
- * the engine registers them as holds with the allocator.
+ * map — triage reads them out of the (checksummed) intent table
+ * (rt::salvage::probeSlot) and the engine registers them as holds
+ * with the allocator.
  */
 #ifndef CNVM_TXN_RECOVERY_INDEX_H
 #define CNVM_TXN_RECOVERY_INDEX_H
@@ -67,7 +68,7 @@ struct IndexEntry {
 /** A heap range pinned out of the free map until its slot heals. */
 struct HoldRange {
     unsigned tid = 0;    ///< owning slot (released on its heal)
-    uint64_t off = 0;    ///< block offset (header included)
+    uint64_t off = 0;    ///< payload offset of the block
     uint64_t bytes = 0;  ///< granule-aligned block size
 };
 

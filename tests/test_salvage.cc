@@ -15,13 +15,17 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <sys/wait.h>
 
 #include "alloc/pm_allocator.h"
+#include "common/error.h"
 #include "nvm/fault_model.h"
 #include "nvm/pool.h"
 #include "runtimes/descriptor.h"
@@ -835,12 +839,12 @@ TEST(VerifyPool, FlagsStartBitOnFreeGranuleAndRunWithoutStart)
     EXPECT_TRUE(rt::salvage::verifyPool(*h.pool).ok());
 }
 
-/** Run `cnvm_inspect verify` on `path`; its exit status and output. */
+/** Run `cnvm_inspect [verify] <path>`; its exit status and output. */
 int
-inspectVerify(const std::string& path, std::string* out)
+runInspect(bool verify, const std::string& path, std::string* out)
 {
-    std::string cmd =
-        std::string(CNVM_INSPECT_BIN) + " verify '" + path + "' 2>&1";
+    std::string cmd = std::string(CNVM_INSPECT_BIN) +
+                      (verify ? " verify '" : " '") + path + "' 2>&1";
     FILE* p = ::popen(cmd.c_str(), "r");
     if (p == nullptr)
         return -1;
@@ -880,11 +884,11 @@ TEST(VerifyPool, InspectVerifyFlagsBitmapDisagreement)
         flipBit(*pool, heap, off, startBit);
     };
     std::string out;
-    EXPECT_EQ(inspectVerify(path, &out), 0) << out;
+    EXPECT_EQ(runInspect(true, path, &out), 0) << out;
 
     poke(freeOff, true);
     out.clear();
-    EXPECT_EQ(inspectVerify(path, &out), 1) << out;
+    EXPECT_EQ(runInspect(true, path, &out), 1) << out;
     EXPECT_NE(out.find("PROBLEM: heap: 1 start bits on free granules"),
               std::string::npos)
         << out;
@@ -892,7 +896,7 @@ TEST(VerifyPool, InspectVerifyFlagsBitmapDisagreement)
 
     poke(rootOff, true);
     out.clear();
-    EXPECT_EQ(inspectVerify(path, &out), 1) << out;
+    EXPECT_EQ(runInspect(true, path, &out), 1) << out;
     EXPECT_NE(out.find("PROBLEM: heap: 1 allocated runs with no start bit"),
               std::string::npos)
         << out;
@@ -967,7 +971,9 @@ bitmapBlocks(const nvm::Pool& pool, const alloc::PmAllocator& heap)
  * the heap: the bitmap's blocks are exactly the root and the list's
  * nodes — each run of allocated granules starts one block per start
  * bit, nothing leaked and nothing double-counted — and the free map
- * holds every other byte.
+ * holds every other byte. verifyPool then agrees with recovery: no
+ * problem (a torn intent table recovery ignored is a note), no slot
+ * pending, and the allocator's free space.
  */
 TEST(HeaderlessHeap, AllocFreeCrashSweepKeepsOneStartBitPerBlock)
 {
@@ -1024,13 +1030,166 @@ TEST(HeaderlessHeap, AllocFreeCrashSweepKeepsOneStartBitPerBlock)
                 }
                 h.heap->rebuild();
                 EXPECT_EQ(h.heap->freeBytes(), h.heap->dataBytes() - used);
-                for (const std::string& p :
-                     rt::salvage::verifyPool(*h.pool).problems)
-                    EXPECT_NE(p.rfind("heap:", 0), 0u) << p;
+                rt::salvage::VerifyResult vr =
+                    rt::salvage::verifyPool(*h.pool);
+                EXPECT_TRUE(vr.ok()) << vr.problems.front();
+                EXPECT_TRUE(vr.pending.entries.empty());
+                EXPECT_EQ(vr.freeBytes, h.heap->freeBytes());
+                EXPECT_EQ(vr.freeExtents, h.heap->freeExtents());
             }
             EXPECT_GT(crashes, 10u);
         }
     }
+}
+
+/** The whole file, byte for byte. */
+std::string
+fileBytes(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
+}
+
+/**
+ * cnvm_inspect reads and never writes, in either mode — even when the
+ * allocator magic is damaged, where constructing a PmAllocator would
+ * format a fresh heap over the bitmap it was asked to show. Its free
+ * space comes from verifyPool's bitmap walk, which on a healthy heap
+ * matches the allocator's own free map.
+ */
+TEST(VerifyPool, InspectLeavesPoolFileUntouched)
+{
+    std::string path = ::testing::TempDir() + "cnvm_inspect_ro.pool";
+    std::remove(path.c_str());
+    std::string healthy;
+    {
+        Harness h(RuntimeKind::undo, rt::ClobberPolicy::refined,
+                  8ULL << 20, 64ULL << 10, path);
+        auto eng = h.engine();
+        for (uint64_t v = 1; v <= 3; v++)
+            txn::run(eng, kPushWide, h.rootPtr().raw(), v);
+        txn::run(eng, kReplaceWide, h.rootPtr().raw(), uint64_t{7});
+        h.heap->rebuild();
+        rt::salvage::VerifyResult r = rt::salvage::verifyPool(*h.pool);
+        EXPECT_TRUE(r.heapWalked);
+        EXPECT_EQ(r.freeBytes, h.heap->freeBytes());
+        EXPECT_EQ(r.freeExtents, h.heap->freeExtents());
+        healthy = strprintf("heap: %zu free bytes in %zu extents",
+                            h.heap->freeBytes(), h.heap->freeExtents());
+    }
+    std::string before = fileBytes(path);
+    std::string out;
+    EXPECT_EQ(runInspect(false, path, &out), 0) << out;
+    EXPECT_NE(out.find(healthy), std::string::npos) << out;
+    EXPECT_TRUE(fileBytes(path) == before);
+
+    // Flip one bit of the allocator magic.
+    {
+        auto pool = nvm::Pool::open(path);
+        pool->base()[pool->heapOff() + offsetof(alloc::AllocHeader,
+                                                magic)] ^= 1;
+    }
+    before = fileBytes(path);
+    for (bool verify : {false, true}) {
+        out.clear();
+        runInspect(verify, path, &out);
+        EXPECT_TRUE(fileBytes(path) == before) << out;
+    }
+    std::remove(path.c_str());
+}
+
+/**
+ * `cnvm_inspect verify` prints recovery's own triage: crash a free +
+ * alloc transaction on a pool file at event indices across the whole
+ * transaction, and its `pending: slot` and `hold [...)` lines name
+ * exactly the entries and hold ranges recoveryTriage() computes on the
+ * same image. After recovery the image verifies clean with nothing
+ * pending.
+ */
+TEST(VerifyPool, InspectVerifyPrintsRecoveryTriage)
+{
+    std::string path = ::testing::TempDir() + "cnvm_inspect_triage.pool";
+    const std::map<txn::SlotClass, const char*> phrase{
+        {txn::SlotClass::damaged, "damaged descriptor"},
+        {txn::SlotClass::ongoing, "interrupted transaction"},
+        {txn::SlotClass::committing, "interrupted commit"},
+        {txn::SlotClass::idleIntents, "intent table"}};
+    for (RuntimeKind kind :
+         {RuntimeKind::undo, RuntimeKind::redo, RuntimeKind::clobber}) {
+        SCOPED_TRACE(static_cast<int>(kind));
+        uint64_t pendingImages = 0;
+        uint64_t holdImages = 0;
+        for (uint64_t k = 1; k < 2000; k++) {
+            SCOPED_TRACE(k);
+            std::remove(path.c_str());
+            Harness h(kind, rt::ClobberPolicy::refined, 8ULL << 20,
+                      64ULL << 10, path);
+            auto eng = h.engine();
+            for (uint64_t v = 1; v <= 4; v++)
+                txn::run(eng, kPushWide, h.rootPtr().raw(), v);
+            bool crashed = false;
+            {
+                CrashScheduler sched(*h.pool);
+                sched.arm(k);
+                try {
+                    txn::run(eng, kReplaceWide, h.rootPtr().raw(),
+                             uint64_t{50});
+                } catch (const nvm::CrashInjected&) {
+                    crashed = true;
+                }
+            }
+            if (!crashed)
+                break;
+            h.pool->simulateCrash(900 + k);
+
+            std::string out;
+            runInspect(true, path, &out);
+            std::map<unsigned, std::string> slots;
+            std::vector<txn::HoldRange> holds;
+            std::istringstream lines(out);
+            for (std::string line; std::getline(lines, line);) {
+                unsigned tid = 0;
+                unsigned long long off = 0, bytes = 0;
+                if (std::sscanf(line.c_str(), "pending: slot %u", &tid) ==
+                    1) {
+                    slots[tid] = line;
+                } else if (std::sscanf(line.c_str(),
+                                       "pending: hold [%llu, +%llu) "
+                                       "until slot %u",
+                                       &off, &bytes, &tid) == 3) {
+                    holds.push_back(txn::HoldRange{tid, off, bytes});
+                }
+            }
+            txn::RecoveryIndex idx = h.runtime->recoveryTriage();
+            ASSERT_EQ(slots.size(), idx.entries.size()) << out;
+            for (const txn::IndexEntry& e : idx.entries) {
+                ASSERT_EQ(slots.count(e.tid), 1u) << out;
+                EXPECT_NE(slots[e.tid].find(phrase.at(e.cls)),
+                          std::string::npos)
+                    << out;
+            }
+            ASSERT_EQ(holds.size(), idx.holds.size()) << out;
+            for (size_t i = 0; i < holds.size(); i++) {
+                EXPECT_EQ(holds[i].tid, idx.holds[i].tid) << out;
+                EXPECT_EQ(holds[i].off, idx.holds[i].off) << out;
+                EXPECT_EQ(holds[i].bytes, idx.holds[i].bytes) << out;
+            }
+            pendingImages += idx.entries.empty() ? 0 : 1;
+            holdImages += idx.holds.empty() ? 0 : 1;
+
+            txn::RecoveryReport rep = h.runtime->recover();
+            ASSERT_TRUE(rep.clean()) << rep.toString();
+            out.clear();
+            EXPECT_EQ(runInspect(true, path, &out), 0) << out;
+            EXPECT_NE(out.find("recovery: no slot pending"),
+                      std::string::npos)
+                << out;
+        }
+        EXPECT_GT(pendingImages, 3u);
+        EXPECT_GT(holdImages, 0u);
+    }
+    std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #define CNVM_TESTS_TESTUTIL_H
 
 #include <memory>
+#include <string>
 
 #include "alloc/pm_allocator.h"
 #include "nvm/pool.h"
@@ -35,15 +36,18 @@ extern const txn::FuncId kPopNode;       ///< remove head; sum -= value
 extern const txn::FuncId kBlindWrite;    ///< overwrite sum without reading
 extern const txn::FuncId kReadOnly;      ///< loads only
 
-/** Pool + heap + runtime bundle over an anonymous mapping. */
+/** Pool + heap + runtime bundle over an anonymous mapping, or over
+ *  the pool file `path` when one is given. */
 class Harness {
  public:
     explicit Harness(txn::RuntimeKind kind,
                      rt::ClobberPolicy policy = rt::ClobberPolicy::refined,
                      size_t poolSize = 32ULL << 20,
-                     size_t slotBytes = 128ULL << 10)
+                     size_t slotBytes = 128ULL << 10,
+                     const std::string& path = {})
     {
         nvm::PoolConfig cfg;
+        cfg.path = path;
         cfg.size = poolSize;
         cfg.maxThreads = 8;
         cfg.slotBytes = slotBytes;

@@ -1,23 +1,25 @@
 /**
  * @file
- * cnvm_inspect: offline pool inspector.
+ * cnvm_inspect: offline pool inspector. Never writes the pool.
  *
  * Default mode prints a pool file's header, the state of every
  * per-thread transaction descriptor (status, sequence number, v_log
- * payload, intent table validity, pending log entries), and heap
- * statistics — without mutating anything. Useful for debugging
- * recovery issues and for verifying what survived a crash.
+ * payload, pending log entries, and the begin-record and intent-table
+ * validity recovery's own probe, rt::salvage::probeSlot, reads), and
+ * the heap's free space from verifyPool's read-only bitmap walk. It
+ * constructs no PmAllocator, which would format a heap whose magic is
+ * damaged. Useful for debugging recovery issues and for verifying
+ * what survived a crash.
  *
  * `verify` mode walks the whole pool through the salvage scanner
  * (rt::salvage::verifyPool): header bounds, per-slot descriptor and
  * log checksums, allocator metadata, quarantine table and the
  * agreement of the bitmap's start and allocation bits, printing every
- * integrity violation it finds. It then
- * reports the pending-recovery state per region — the same read-only
- * classification recoveryTriage() computes: which slots a lazy
- * restart would leave pending (and why), and which heap ranges it
- * would pin until the owning slot heals. Exit status: 0 clean,
- * 1 problems found, 2 usage / unreadable pool.
+ * integrity violation it finds. It then prints the pending-recovery
+ * state: the index recovery's triage (rt::salvage::triagePool)
+ * yields — which slots a lazy restart would leave pending (and why),
+ * and which heap ranges it would pin until the owning slot heals.
+ * Exit status: 0 clean, 1 problems found, 2 usage / unreadable pool.
  *
  * Usage:
  *   cnvm_inspect <pool-file>
@@ -28,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "alloc/pm_allocator.h"
 #include "nvm/pool.h"
 #include "runtimes/descriptor.h"
 #include "runtimes/salvage.h"
@@ -49,103 +50,65 @@ statusName(uint64_t s)
     return "corrupt";
 }
 
-/**
- * Read-only mirror of RuntimeBase::recoveryTriage()'s classification:
- * what a lazy restart would leave pending per slot, and which heap
- * ranges it would pin (holds) until the owning slot heals. Uses the
- * same media guards as triage (checkRead + isTainted over the begin
- * record, the guarded intent-table probe) and, like triage, never
- * writes to the pool.
- */
-void
-reportPendingRecovery(nvm::Pool& pool)
+/** What healing index entry `e` will do. */
+const char*
+pendingWhy(const txn::RecoveryIndex& idx, const txn::IndexEntry& e)
 {
-    constexpr size_t beginBytes = offsetof(rt::TxDescriptor, intentSeq);
-    constexpr size_t tableBytes =
-        sizeof(rt::TxDescriptor) - offsetof(rt::TxDescriptor, intentSeq);
-    unsigned pending = 0;
-    unsigned holdRanges = 0;
-    uint64_t holdBytes = 0;
-    for (unsigned tid = 0; tid < pool.maxThreads(); tid++) {
-        const auto& d =
-            *static_cast<const rt::TxDescriptor*>(pool.slot(tid));
-        bool damaged = pool.isTainted(&d, beginBytes);
-        if (!damaged) {
-            try {
-                pool.checkRead(&d, beginBytes);
-            } catch (const nvm::MediaFaultError&) {
-                damaged = true;
-            }
+    switch (e.cls) {
+      case txn::SlotClass::damaged:
+        return "damaged descriptor (heal salvage-resets the slot)";
+      case txn::SlotClass::ongoing:
+        return "interrupted transaction (heal rolls back or "
+               "re-executes)";
+      case txn::SlotClass::committing:
+        return "interrupted commit (heal completes it)";
+      case txn::SlotClass::idleIntents:
+        // A live table pins its blocks; a lost one pins nothing.
+        for (const txn::HoldRange& h : idx.holds) {
+            if (h.tid == e.tid)
+                return "idle slot with live intent table (heal "
+                       "settles the allocations)";
         }
-        // Guarded intent-table probe (liveIntentsGuarded): 1 = live
-        // table, -1 = unreadable/corrupt (heal records it as lost),
-        // 0 = nothing there.
-        int intents = 0;
-        bool live = d.intentSeq == d.txSeq && d.intentCount > 0 &&
-                    d.intentCount <= rt::kMaxIntents;
-        try {
-            pool.checkRead(&d.intentSeq, tableBytes);
-            if (live &&
-                rt::salvage::intentChecksum(d.intentSeq, d.intentCount,
-                                            d.intents) == d.intentSum)
-                intents = 1;
-            else if (live && pool.isTainted(&d.intentSeq, tableBytes))
-                intents = -1;
-        } catch (const nvm::MediaFaultError&) {
-            intents = -1;
-        }
+        return "idle slot with corrupt intent table (heal records "
+               "the allocations as lost)";
+      case txn::SlotClass::clean:
+        break;
+    }
+    return "clean";
+}
 
-        const char* cls = nullptr;
-        if (damaged) {
-            cls = "damaged descriptor (heal aborts + quarantines)";
-        } else if (d.status ==
-                       static_cast<uint64_t>(rt::TxStatus::ongoing) &&
-                   d.argLen <= rt::kMaxArgBytes &&
-                   rt::salvage::beginChecksum(d) == d.beginSum) {
-            cls = "interrupted transaction (heal rolls back or "
-                  "re-executes)";
-        } else if (d.status == static_cast<uint64_t>(
-                                   rt::TxStatus::committing)) {
-            cls = "interrupted commit (heal completes it)";
-        } else if (intents != 0) {
-            cls = intents > 0
-                      ? "idle slot with live intent table (heal "
-                        "settles the allocations)"
-                      : "idle slot with corrupt intent table (heal "
-                        "records the allocations as lost)";
-        }
-        if (cls == nullptr)
-            continue;
-        pending++;
-        std::printf("pending: slot %u seq=%llu: %s\n", tid,
-                    static_cast<unsigned long long>(d.txSeq), cls);
-        if (!damaged && intents == 1) {
-            for (uint32_t i = 0; i < d.intentCount; i++) {
-                const rt::AllocIntent& in = d.intents[i];
-                uint64_t off = in.payloadOff;
-                uint64_t bytes =
-                    (in.payloadBytes + alloc::kGranule - 1) /
-                    alloc::kGranule * alloc::kGranule;
-                std::printf("pending:   hold [%llu, +%llu) until "
-                            "slot %u heals\n",
-                            static_cast<unsigned long long>(off),
-                            static_cast<unsigned long long>(bytes),
-                            tid);
-                holdRanges++;
-                holdBytes += bytes;
-            }
+/** Print triage's index: pending slots and the ranges they pin. */
+void
+printPending(nvm::Pool& pool, const txn::RecoveryIndex& idx)
+{
+    uint64_t holdBytes = 0;
+    for (const txn::IndexEntry& e : idx.entries) {
+        const auto& d =
+            *static_cast<const rt::TxDescriptor*>(pool.slot(e.tid));
+        std::printf("pending: slot %u seq=%llu: %s\n", e.tid,
+                    static_cast<unsigned long long>(d.txSeq),
+                    pendingWhy(idx, e));
+        for (const txn::HoldRange& h : idx.holds) {
+            if (h.tid != e.tid)
+                continue;
+            std::printf("pending:   hold [%llu, +%llu) until slot %u "
+                        "heals\n",
+                        static_cast<unsigned long long>(h.off),
+                        static_cast<unsigned long long>(h.bytes),
+                        h.tid);
+            holdBytes += h.bytes;
         }
     }
-    if (pending == 0) {
+    if (idx.entries.empty()) {
         std::printf("recovery: no slot pending — a lazy restart "
                     "admits transactions with nothing to heal\n");
         return;
     }
-    std::printf("recovery: %u slot(s) pending", pending);
-    if (holdRanges > 0)
-        std::printf(", %u heap range(s) / %llu B pinned until their "
+    std::printf("recovery: %zu slot(s) pending", idx.entries.size());
+    if (!idx.holds.empty())
+        std::printf(", %zu heap range(s) / %llu B pinned until their "
                     "slots heal",
-                    holdRanges,
+                    idx.holds.size(),
                     static_cast<unsigned long long>(holdBytes));
     std::printf("; a lazy restart admits transactions after triage "
                 "and heals these on first touch\n");
@@ -166,7 +129,7 @@ verifyMain(const char* path)
         std::printf("note:    %s\n", n.c_str());
     for (const std::string& p : r.problems)
         std::printf("PROBLEM: %s\n", p.c_str());
-    reportPendingRecovery(*pool);
+    printPending(*pool, r.pending);
     std::printf("%s: %zu problem(s), %zu note(s)\n",
                 r.ok() ? "CLEAN" : "CORRUPT", r.problems.size(),
                 r.notes.size());
@@ -203,11 +166,16 @@ inspectMain(const char* path)
     for (unsigned tid = 0; tid < pool->maxThreads(); tid++) {
         const auto& d =
             *static_cast<const rt::TxDescriptor*>(pool->slot(tid));
-        bool interesting =
-            d.status != static_cast<uint64_t>(rt::TxStatus::idle) ||
-            (d.intentCount > 0 && d.intentSeq == d.txSeq);
-        if (!interesting && d.txSeq == 0)
+        rt::salvage::SlotProbe p = rt::salvage::probeSlot(*pool, tid);
+        if (p.cls == txn::SlotClass::clean && d.txSeq == 0)
             continue;  // slot never used
+        std::printf("slot %-2u %-10s seq=%llu", tid,
+                    statusName(d.status),
+                    static_cast<unsigned long long>(d.txSeq));
+        if (p.damage != nullptr) {
+            std::printf(" [%s]\n", p.damage);
+            continue;
+        }
         // The media-aware scanner reports damaged stretches instead
         // of silently truncating at the first bad entry.
         const auto* area =
@@ -219,15 +187,11 @@ inspectMain(const char* path)
         rt::salvage::scanLogArea(nullptr, area, cap,
                                  static_cast<uint32_t>(d.txSeq),
                                  entries, &st);
-        std::printf("slot %-2u %-10s seq=%llu", tid,
-                    statusName(d.status),
-                    static_cast<unsigned long long>(d.txSeq));
         if (d.status ==
             static_cast<uint64_t>(rt::TxStatus::ongoing)) {
             interrupted++;
-            bool valid = rt::salvage::beginChecksum(d) == d.beginSum;
             std::printf(" begin=%s fid=0x%08x (%s) args=%uB",
-                        valid ? "valid" : "TORN", d.fid,
+                        p.beginValid ? "valid" : "TORN", d.fid,
                         txn::txFuncName(d.fid), d.argLen);
         }
         std::printf(" log: %llu entries / %llu B",
@@ -238,22 +202,26 @@ inspectMain(const char* path)
                         static_cast<unsigned long long>(
                             st.droppedEntries));
         }
-        if (d.intentCount > 0 && d.intentSeq == d.txSeq) {
-            bool ok = d.intentCount <= rt::kMaxIntents &&
-                      rt::salvage::intentChecksum(
-                          d.intentSeq, d.intentCount, d.intents) ==
-                          d.intentSum;
-            std::printf(" intents: %u (%s)", d.intentCount,
-                        ok ? "valid" : "TORN");
+        if (p.intents != rt::salvage::IntentState::none ||
+            (d.intentCount > 0 && d.intentSeq == d.txSeq)) {
+            const char* state =
+                p.intents == rt::salvage::IntentState::live   ? "valid"
+                : p.intents == rt::salvage::IntentState::lost ? "LOST"
+                                                               : "TORN";
+            std::printf(" intents: %u (%s)", d.intentCount, state);
         }
         std::printf("\n");
     }
 
-    // Heap statistics (builds the volatile free map; read-only with
-    // respect to persistent state).
-    alloc::PmAllocator heap(*pool);
-    std::printf("heap: %zu free bytes in %zu extents\n",
-                heap.freeBytes(), heap.freeExtents());
+    rt::salvage::VerifyResult v = rt::salvage::verifyPool(*pool);
+    if (v.heapWalked) {
+        std::printf("heap: %llu free bytes in %llu extents\n",
+                    static_cast<unsigned long long>(v.freeBytes),
+                    static_cast<unsigned long long>(v.freeExtents));
+    } else {
+        std::printf("heap: no readable allocator metadata (run "
+                    "cnvm_inspect verify)\n");
+    }
     std::printf("%u interrupted transaction(s)%s\n", interrupted,
                 interrupted > 0 ? " — run recovery before use" : "");
     return 0;
